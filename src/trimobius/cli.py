@@ -353,8 +353,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, OverflowError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (
+        ValueError, IndexError, OverflowError, ArithmeticError, OSError, MemoryError
+    ) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .poset import DivisibilityPoset, SequenceKind
-
-I64_MAX = 2**63 - 1
+from .poset import I64_MAX, DivisibilityPoset, SequenceKind
 
 # Per-poset memo for two-variable values.  Entries are only ever inserted,
 # never rewritten, and each insert is a single dict assignment under the

@@ -13,7 +13,10 @@ import enum
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 U64_MAX = 2**64 - 1
+I64_MAX = 2**63 - 1
 
 # Largest i with i(i+1)/2 <= U64_MAX.
 MAX_TRIANGULAR_INDEX = 6_074_000_999
@@ -160,7 +163,7 @@ class DivisibilityPoset:
                 for m in range(2 * d, n + 1, d):
                     tbl[m].append(d)
             return tbl
-        return _build_triangular_predecessors(n)
+        return _segmented_triangular_predecessors(n)
 
     def covers(self, i: int, j: int) -> bool:
         """True iff j covers i: i below j, i != j, nothing strictly between."""
@@ -187,50 +190,91 @@ class DivisibilityPoset:
         return HasseGraph(n_elements=n, edges=tuple(edges))
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[m] = smallest prime factor of m, for 0 <= m <= limit."""
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+# Segment sizes for the triangular builder.  A block of k shares one pair of
+# divisor windows; its candidate divisors are then processed in slices of
+# about _CANDIDATE_BUDGET, so transient arrays stay at a few MB at any n.
+_K_BLOCK = 4096
+_CANDIDATE_BUDGET = 1 << 14
 
 
-def _build_triangular_predecessors(n: int) -> list[list[int]]:
+def _window_divisors(w0: int, w1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Divisors of every m in w0..w1, by a windowed sieve over d <= sqrt(w1).
+
+    Returns (divs, offsets): the divisors of m, in no particular order, are
+    divs[offsets[m - w0]:offsets[m - w0 + 1]].
+    """
+    d = np.arange(1, isqrt(w1) + 1, dtype=np.int64)
+    # each d pairs with its cofactor m // d, so only multiples m >= d*d count
+    first = np.maximum(d * d, -(-w0 // d) * d)
+    count = np.maximum((w1 - first) // d + 1, 0)
+    dd = np.repeat(d, count)
+    step = np.arange(len(dd), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
+    m = np.repeat(first, count) + step * dd
+    co = m // dd
+    distinct = co != dd
+    m = np.concatenate([m, m[distinct]])
+    divs = np.concatenate([dd, co[distinct]])
+    offsets = np.zeros(w1 - w0 + 2, dtype=np.int64)
+    np.cumsum(np.bincount(m - w0, minlength=w1 - w0 + 1), out=offsets[1:])
+    return divs[np.argsort(m, kind="stable")], offsets
+
+
+def _triangular_indices(v: np.ndarray) -> np.ndarray:
+    """Vectorised triangular_index: k with k(k+1)/2 == v, else 0.
+
+    Exact while 8v+1 <= 2**63-1.  For a square w = s*s with s < 2**32, the
+    float root of float(w) is off by less than half a float spacing at s,
+    so it truncates to s itself; a non-square fails the integer check
+    whatever the float root is.  The root stays below 3,037,000,500, so
+    s*s never leaves int64.
+    """
+    w = 8 * v + 1
+    s = np.sqrt(w).astype(np.int64)
+    return np.where(s * s == w, (s - 1) // 2, 0)
+
+
+def _segmented_triangular_predecessors(n: int) -> list[list[int]]:
     """Bulk predecessor lists for the triangular poset on 1..n.
 
-    Factors k(k+1)/2 by merging the factorizations of k and k+1 (coprime)
-    from a smallest-prime-factor sieve, enumerates its divisors, and keeps
-    the triangular ones.  Far cheaper than per-element square-root walks:
-    the divisor counts, not the magnitudes, drive the cost.
+    T(k) is the product of the coprime halves (k/2, k+1) or (k, (k+1)/2).
+    Per block of k, a windowed sieve lists the divisors of both halves;
+    their ragged outer product is every divisor of T(k) exactly once, and
+    the triangular ones with index below k are the predecessors.  The
+    divisor counts, not the magnitudes, drive the cost.
     """
-    spf = _smallest_prime_factors(n + 1)
-    tbl: list[list[int]] = [[] for _ in range(n + 1)]
-    for k in range(2, n + 1):
-        factors: dict[int, int] = {}
-        for m in (k, k + 1):
-            while m > 1:
-                p = spf[m]
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors[p] = factors.get(p, 0) + e
-        # halve: exactly one of k, k+1 is even
-        factors[2] -= 1
-        if factors[2] == 0:
-            del factors[2]
-        divisors = [1]
-        for p, e in factors.items():
-            powers = [p**a for a in range(e + 1)]
-            divisors = [d * q for d in divisors for q in powers]
-        idxs = []
-        for d in divisors:
-            ix = triangular_index(d)
-            if 1 <= ix < k:
-                idxs.append(ix)
-        idxs.sort()
-        tbl[k] = idxs
+    if 8 * (n * (n + 1) // 2) + 1 > I64_MAX:
+        raise OverflowError(
+            f"triangular predecessor table for n = {n} leaves the exact "
+            "int64 range of the builder (8*T(n)+1 > 2**63-1)"
+        )
+    tbl: list[list[int]] = [[], []]
+    for lo in range(2, n + 1, _K_BLOCK):
+        hi = min(lo + _K_BLOCK - 1, n)
+        k = np.arange(lo, hi + 1, dtype=np.int64)
+        # halved factor (k+1)//2 and unhalved factor k or k+1, as window offsets
+        a0, b0 = (lo + 1) // 2, lo
+        divs_a, off_a = _window_divisors(a0, (hi + 1) // 2)
+        divs_b, off_b = _window_divisors(b0, hi + 1)
+        ia = (k + 1) // 2 - a0
+        ib = k + (k % 2 == 0) - b0
+        start_a, start_b = off_a[ia], off_b[ib]
+        n_b = off_b[ib + 1] - start_b
+        n_cand = (off_a[ia + 1] - start_a) * n_b
+        cum = np.cumsum(n_cand)
+        cuts = np.searchsorted(
+            cum, np.arange(_CANDIDATE_BUDGET, cum[-1], _CANDIDATE_BUDGET), side="right"
+        )
+        bounds = [0, *cuts.tolist(), len(k)]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            nc = n_cand[s:e]
+            row = np.repeat(np.arange(s, e), nc)
+            pos = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(nc) - nc, nc)
+            q, r = np.divmod(pos, n_b[row])
+            idx = _triangular_indices(divs_a[start_a[row] + q] * divs_b[start_b[row] + r])
+            kk = k[row]
+            keep = (idx > 0) & (idx < kk)
+            key = np.sort(kk[keep] * n + idx[keep])
+            flat = (key % n).tolist()
+            ends = np.cumsum(np.bincount(key // n - (lo + s), minlength=e - s)).tolist()
+            tbl.extend(flat[a:b] for a, b in zip([0, *ends[:-1]], ends))
     return tbl

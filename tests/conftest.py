@@ -17,6 +17,12 @@ def identity_poset():
 
 
 @pytest.fixture(scope="session")
+def tri_poset_1e5():
+    """Triangular poset at N = 100,000 for the bulk-builder pins."""
+    return DivisibilityPoset(SequenceKind.TRIANGULAR, 100_000)
+
+
+@pytest.fixture(scope="session")
 def mu_tri_10k():
     """Shared N=10,000 vector; .elapsed carries the build time for the
     performance criterion."""

@@ -55,9 +55,23 @@ MU_SPOT = {44: 2, 272: 3, 1274: 4, 2079: -8}
 # partial sums (derived): value at selected n for the triangular kind
 MERTENS_TRI_SPOT = {10: -3, 1000: -27, 10000: -316}
 
+# derived from the original builder (smallest-prime-factor factorisation
+# of k and k+1, since replaced), not from the paper: the triangular
+# partial sum at N = 100,000 and the largest |mu(n)| up to it
+MERTENS_TRI_1E5 = -3708
+MAX_ABS_MU_TRI_1E5 = 15
+
 # indices in [100, 10000] where the partial sum is >= 0 (derived; the sum
 # is exactly 0 at all of them except 288 where it is +1)
 MERTENS_NONNEG_TOUCHES = [287, 288, 289, 290, 291, 299, 300, 344, 345]
+
+# triangular predecessor table rows 0..n (derived from the original builder, not
+# from the paper): total entry count and the SHA-256 of
+# " ".join(",".join(map(str, row)) for row in table)
+PRED_TABLE_TRI = {
+    10_000: (38_663, "fb4e6dbf19402d7d59d0a24af500672a7bc83474587cc5e0ad1a72658166ec2f"),
+    100_000: (394_760, "0b8c61784d598f63a86948e76f2a5d75c4a6c57bf3aaa9a526d5c0c652c9c5f9"),
+}
 
 # covering edges among 1..20, triangular kind (derived via the trial oracle)
 HASSE_TRI_20 = [

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from expected import MU_TRI_10
+from trimobius import cli
 from trimobius.cli import main
 
 
@@ -52,6 +53,16 @@ class TestMobiusCommand:
                            "/nonexistent-dir/mu.txt")
         assert code == 1
         assert "error" in err
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_sums", exhausted)
+        code, out, err = run(capsys, "sums", "-n", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSeriesCommands:

@@ -1,6 +1,13 @@
 import pytest
 
-from expected import MOBIUS_TRI_10, MU_IDENTITY_10, MU_TRI_10, ZETA_TRI_10
+from expected import (
+    MAX_ABS_MU_TRI_1E5,
+    MERTENS_TRI_1E5,
+    MOBIUS_TRI_10,
+    MU_IDENTITY_10,
+    MU_TRI_10,
+    ZETA_TRI_10,
+)
 from trimobius import (
     DivisibilityPoset,
     MobiusMatrix,
@@ -39,6 +46,11 @@ class TestOneVar:
         table = tri_poset.predecessor_table(2000)
         for n in range(2, 2001):
             assert vec.value(n) + sum(vec.value(d) for d in table[n]) == 0
+
+    def test_derived_goldens_1e5(self, tri_poset_1e5):
+        terms = mobius_one_var(tri_poset_1e5).terms()
+        assert sum(terms) == MERTENS_TRI_1E5
+        assert max(map(abs, terms)) == MAX_ABS_MU_TRI_1E5
 
     def test_vector_indexing(self, tri_poset):
         vec = mobius_one_var(tri_poset, 10)

@@ -1,6 +1,12 @@
+import hashlib
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from expected import HASSE_TRI_20
+from expected import HASSE_TRI_20, PRED_TABLE_TRI
+from trimobius import poset as poset_module
 from trimobius import (
     MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
@@ -132,6 +138,81 @@ class TestStrictPredecessors:
             trial = poset.strict_predecessors_trial(n)
             assert poset.strict_predecessors(n) == trial, n
             assert table[n] == trial, n
+
+
+class TestTriangularBuilder:
+    # largest n with 8*T(n)+1 <= 2**63-1, the builder's exact int64 range
+    INT64_TOP = 1_518_500_249
+
+    @pytest.mark.parametrize("n", sorted(PRED_TABLE_TRI))
+    def test_matches_original_builder_pins(self, n, tri_poset_1e5):
+        # entry count and digest are derived from the original builder, not the paper
+        if n == tri_poset_1e5.max_index:
+            table = tri_poset_1e5.predecessor_table(n)
+        else:
+            table = DivisibilityPoset(TRI, n).predecessor_table(n)
+        entries, digest = PRED_TABLE_TRI[n]
+        assert len(table) == n + 1
+        assert sum(map(len, table)) == entries
+        text = " ".join(",".join(map(str, row)) for row in table)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_table_does_not_depend_on_segment_sizes(self, monkeypatch):
+        # tiny blocks and a budget below one row's candidate count exercise
+        # block edges and empty candidate slices
+        expected = poset_module._segmented_triangular_predecessors(3000)
+        monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
+        monkeypatch.setattr(poset_module, "_CANDIDATE_BUDGET", 5)
+        assert poset_module._segmented_triangular_predecessors(3000) == expected
+
+    def test_sampled_rows_match_trial_oracle_1e5(self, tri_poset_1e5):
+        n = tri_poset_1e5.max_index
+        table = tri_poset_1e5.predecessor_table(n)
+        for k in random.Random(20240207).sample(range(2, n + 1), 50):
+            assert table[k] == tri_poset_1e5.strict_predecessors_trial(k), k
+
+    def test_transient_memory_is_bounded(self):
+        # the table itself is most of what the build allocates; a segment
+        # size that balloons the candidate arrays pushes the peak past this
+        tracemalloc.start()
+        try:
+            table = poset_module._segmented_triangular_predecessors(100_000)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 100_001
+        assert peak - current <= 8 * 2**20
+
+    def test_triangular_indices_exact_at_int64_edge(self):
+        top = self.INT64_TOP
+        assert 8 * sequence_value(TRI, top) + 1 <= 2**63 - 1
+        assert 8 * sequence_value(TRI, top + 1) + 1 > 2**63 - 1
+        # every triangular value in a band below the limit, and its neighbours
+        k = np.arange(top - 200_000, top + 1, dtype=np.int64)
+        t = k * (k + 1) // 2
+        assert (poset_module._triangular_indices(t) == k).all()
+        assert not poset_module._triangular_indices(t - 1).any()
+        assert not poset_module._triangular_indices(t + 1).any()
+        rng = random.Random(7)
+        values = [1, 2, 3, 6, 7]
+        values += [rng.randrange(1, sequence_value(TRI, top)) for _ in range(2000)]
+        got = poset_module._triangular_indices(np.array(values, dtype=np.int64))
+        assert got.tolist() == [triangular_index(v) for v in values]
+
+    def test_rejects_table_past_int64_range(self, monkeypatch):
+        class SieveReached(Exception):
+            pass
+
+        def sieve_reached(*args):
+            raise SieveReached
+
+        top = self.INT64_TOP
+        monkeypatch.setattr(poset_module, "_window_divisors", sieve_reached)
+        with pytest.raises(OverflowError):
+            DivisibilityPoset(TRI, top + 1).predecessor_table(top + 1)
+        # the limit itself passes the check and reaches the sieve
+        with pytest.raises(SieveReached):
+            DivisibilityPoset(TRI, top).predecessor_table(top)
 
 
 class TestCovers:
