@@ -26,40 +26,39 @@ RATIO_CROSSCHECK_TOL = 1e-9
 class SeriesReport:
     """A named prefix-sum series with slope estimates.
 
-    ys[k] is the partial sum through xs[k]; entries are exact ints, exact
-    Fractions, or floats (ratio tails).  slope_estimate is the headline
+    ys[k] is the partial sum through index k + 1; entries are exact ints,
+    exact Fractions, or floats (ratio tails).  slope_estimate is the headline
     per-index slope; slope_lsq is an ordinary least-squares slope kept
     alongside because the endpoint formula is sensitive to both ends.
     """
 
     name: str
-    xs: list[int]
     ys: list
     slope_estimate: Fraction | float
     slope_lsq: float
     final_value: Fraction | float | int
 
     def __len__(self) -> int:
-        return len(self.xs)
+        return len(self.ys)
 
 
-def _endpoint_slope(xs, ys):
+def _endpoint_slope(ys):
     """(y_N - y_1) / (N - 1); zero for a single point."""
-    if len(xs) < 2:
+    if len(ys) < 2:
         return Fraction(0)
     dy = ys[-1] - ys[0]
-    dx = xs[-1] - xs[0]
+    dx = len(ys) - 1
     if isinstance(dy, (int, Fraction)):
         return Fraction(dy, dx)
     return dy / dx
 
 
-def _lsq_slope(xs, ys) -> float:
-    """Ordinary least-squares slope through the series."""
-    n = len(xs)
+def _lsq_slope(ys) -> float:
+    """Ordinary least-squares slope of ys against x = 1..N."""
+    n = len(ys)
     if n < 2:
         return 0.0
-    fx = np.asarray(xs, dtype=np.float64)
+    fx = np.arange(1, n + 1, dtype=np.float64)
     fy = np.asarray([float(v) for v in ys], dtype=np.float64)
     mx = fx.mean()
     my = fy.mean()
@@ -81,14 +80,12 @@ def mertens_tri(mu: MobiusVector) -> SeriesReport:
     terms = mu.terms()
     if not terms:
         raise ValueError("empty Mobius vector")
-    xs = list(range(1, len(terms) + 1))
     ys = _prefix_sums(terms)
     return SeriesReport(
         name="mobius_partial_sums",
-        xs=xs,
         ys=ys,
-        slope_estimate=_endpoint_slope(xs, ys),
-        slope_lsq=_lsq_slope(xs, ys),
+        slope_estimate=_endpoint_slope(ys),
+        slope_lsq=_lsq_slope(ys),
         final_value=ys[-1],
     )
 
@@ -98,14 +95,12 @@ def abs_sums(mu: MobiusVector) -> SeriesReport:
     terms = [abs(t) for t in mu.terms()]
     if not terms:
         raise ValueError("empty Mobius vector")
-    xs = list(range(1, len(terms) + 1))
     ys = _prefix_sums(terms)
     return SeriesReport(
         name="mobius_abs_partial_sums",
-        xs=xs,
         ys=ys,
         slope_estimate=Fraction(ys[-1], len(ys)),
-        slope_lsq=_lsq_slope(xs, ys),
+        slope_lsq=_lsq_slope(ys),
         final_value=ys[-1],
     )
 
@@ -121,7 +116,6 @@ def _ratio_series(name, mu, denominators, exact_limit):
     if not terms:
         raise ValueError("empty Mobius vector")
     n = len(terms)
-    xs = list(range(1, n + 1))
     ys: list = []
 
     comp = 0.0  # Neumaier correction
@@ -152,10 +146,9 @@ def _ratio_series(name, mu, denominators, exact_limit):
             ys.append(fsum + comp)
     return SeriesReport(
         name=name,
-        xs=xs,
         ys=ys,
-        slope_estimate=_endpoint_slope(xs, ys),
-        slope_lsq=_lsq_slope(xs, ys),
+        slope_estimate=_endpoint_slope(ys),
+        slope_lsq=_lsq_slope(ys),
         final_value=ys[-1],
     )
 
@@ -172,26 +165,6 @@ def ratio_sums_triangular(
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
     denominators = [sequence_value(mu.kind, k) for k in range(1, len(mu) + 1)]
     return _ratio_series("mobius_over_value_partial_sums", mu, denominators, exact_limit)
-
-
-def compensated_ratio_sum(mu: MobiusVector, denominators: list[int]) -> float:
-    """Neumaier-compensated float sum of mu(n)/denominator(n), full range.
-
-    Kept separate so tests can compare it against the exact rational path.
-    """
-    fsum = 0.0
-    comp = 0.0
-    for t, d in zip(mu.terms(), denominators):
-        if not t:
-            continue
-        term = t / d
-        add = fsum + term
-        if abs(fsum) >= abs(term):
-            comp += (fsum - add) + term
-        else:
-            comp += (term - add) + fsum
-        fsum = add
-    return fsum + comp
 
 
 @dataclass(frozen=True)
@@ -314,13 +287,11 @@ def classical_mertens(sieve: ClassicalMobiusSieve) -> SeriesReport:
     """Partial sums of the classical Mobius function."""
     if sieve.n < 1:
         raise ValueError("empty sieve")
-    xs = list(range(1, sieve.n + 1))
     ys = np.cumsum(sieve.values[1:], dtype=np.int64).tolist()
     return SeriesReport(
         name="classical_mertens",
-        xs=xs,
         ys=ys,
-        slope_estimate=_endpoint_slope(xs, ys),
-        slope_lsq=_lsq_slope(xs, ys),
+        slope_estimate=_endpoint_slope(ys),
+        slope_lsq=_lsq_slope(ys),
         final_value=ys[-1],
     )

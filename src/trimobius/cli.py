@@ -56,7 +56,7 @@ def _jsonable(value):
 def _series_payload(report: analysis.SeriesReport) -> dict:
     payload = {
         "name": report.name,
-        "xs": report.xs,
+        "xs": list(range(1, len(report) + 1)),
         "ys": [_jsonable(y) for y in report.ys],
         "slope_estimate": _jsonable(report.slope_estimate),
         "slope_lsq": report.slope_lsq,
@@ -79,7 +79,7 @@ def _emit_series(report: analysis.SeriesReport, args, integer_values: bool) -> N
             raise UsageError("b-file output needs integer values; use csv or json")
         _emit(bfile.format_bfile(report.ys), args.out)
     elif fmt == "csv":
-        lines = "".join(f"{x},{_decimal(y)}\n" for x, y in zip(report.xs, report.ys))
+        lines = "".join(f"{x},{_decimal(y)}\n" for x, y in enumerate(report.ys, 1))
         _emit(lines, args.out)
     elif fmt == "json":
         _emit(json.dumps(_series_payload(report), indent=2) + "\n", args.out)
@@ -107,19 +107,25 @@ def _mobius_vector(args) -> mobius.MobiusVector:
     return mobius.mobius_one_var(poset, args.limit)
 
 
-def cmd_mobius(args) -> int:
-    vec = _mobius_vector(args)
+def _emit_terms(terms: list[int], args, payload: dict) -> None:
+    """Write integer terms as a b-file, index,value csv, or JSON.
+
+    The JSON output is payload with the terms added under "values".
+    """
     fmt = args.format or "bfile"
     if fmt == "bfile":
-        _emit(bfile.format_bfile(vec.terms()), args.out)
+        _emit(bfile.format_bfile(terms), args.out)
     elif fmt == "csv":
-        _emit("".join(f"{n},{v}\n" for n, v in enumerate(vec.terms(), 1)), args.out)
+        _emit("".join(f"{n},{v}\n" for n, v in enumerate(terms, 1)), args.out)
     elif fmt == "json":
-        _emit(
-            json.dumps({"kind": vec.kind.value, "values": vec.terms()}) + "\n", args.out
-        )
+        _emit(json.dumps({**payload, "values": terms}) + "\n", args.out)
     else:
         raise UsageError(f"unsupported format {fmt!r}")
+
+
+def cmd_mobius(args) -> int:
+    vec = _mobius_vector(args)
+    _emit_terms(vec.terms(), args, {"kind": vec.kind.value})
     return 0
 
 
@@ -220,15 +226,7 @@ def cmd_props(args) -> int:
 def cmd_classical(args) -> int:
     sieve = analysis.classical_mobius(args.limit)
     if args.series == "mobius":
-        fmt = args.format or "bfile"
-        if fmt == "bfile":
-            _emit(bfile.format_bfile(sieve.terms()), args.out)
-        elif fmt == "csv":
-            _emit("".join(f"{n},{v}\n" for n, v in enumerate(sieve.terms(), 1)), args.out)
-        elif fmt == "json":
-            _emit(json.dumps({"values": sieve.terms()}) + "\n", args.out)
-        else:
-            raise UsageError(f"unsupported format {fmt!r}")
+        _emit_terms(sieve.terms(), args, {})
     else:
         _emit_series(analysis.classical_mertens(sieve), args, integer_values=True)
     return 0

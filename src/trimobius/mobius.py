@@ -7,16 +7,9 @@ oracle for moderate sizes.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .poset import I64_MAX, DivisibilityPoset, SequenceKind
-
-# Per-poset memo for two-variable values.  Entries are only ever inserted,
-# never rewritten, and each insert is a single dict assignment under the
-# GIL, so concurrent readers are safe; construction is single-writer.
-_TWO_VAR_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def _guard_magnitude(value: int) -> int:
     """Abort loudly instead of letting a value leave the signed 64-bit range."""
@@ -72,33 +65,22 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
 
 
 def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
-    """mu(m, n) via recursion over the interval between m and n, memoized.
+    """mu(m, n) by the zero-sum recursion over the interval [m, n].
 
-    Zero when m is not below n; one on the diagonal; otherwise minus the
-    sum of mu(m, z) over the strictly smaller elements of the interval.
+    Zero when m is not below n.  Otherwise one ascending pass over n's
+    predecessor row: mu(m, m) = 1, and each z above m gets minus the sum
+    of mu(m, w) over its own predecessors w; a w outside the interval
+    contributes zero.  The row comes from the table of the whole poset,
+    so a sequence of calls with growing n builds it only once.
     """
-    poset._check_index(m)
-    poset._check_index(n)
-    memo = _TWO_VAR_MEMO.setdefault(poset, {})
-
-    def rec(upper: int) -> int:
-        if upper == m:
-            return 1
-        if not poset.leq(m, upper):
-            return 0
-        key = (m, upper)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = 0
-        for z in poset.strict_predecessors(upper):
-            if z >= m and poset.leq(m, z):
-                acc += rec(z)
-        result = _guard_magnitude(-acc)
-        memo[key] = result
-        return result
-
-    return rec(n)
+    if not poset.leq(m, n):
+        return 0
+    table = poset.predecessor_table(poset.max_index)
+    mu = {m: 1}
+    for z in table[n] + [n]:
+        if z > m:
+            mu[z] = _guard_magnitude(-sum(mu.get(w, 0) for w in table[z]))
+    return mu[n]
 
 
 @dataclass(frozen=True)

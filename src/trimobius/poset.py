@@ -114,34 +114,10 @@ class DivisibilityPoset:
             return False
         return self.value(j) % self.value(i) == 0
 
-    def strict_predecessors(self, n: int) -> list[int]:
-        """All d < n with d below n, ascending.
-
-        Divisor-enumeration path: walks divisor pairs of value(n) up to its
-        square root and keeps the ones that are sequence values.
-        """
-        self._check_index(n)
-        v = self.value(n)
-        idxs = []
-        for d in range(1, isqrt(v) + 1):
-            if v % d == 0:
-                for cand in (d, v // d):
-                    k = self._index_of_value(cand)
-                    if 1 <= k < n:
-                        idxs.append(k)
-        idxs = sorted(set(idxs))
-        return idxs
-
     def strict_predecessors_trial(self, n: int) -> list[int]:
         """Oracle path: trial loop over every d < n calling leq. O(n) divisions."""
         self._check_index(n)
         return [d for d in range(1, n) if self.leq(d, n)]
-
-    def _index_of_value(self, v: int) -> int:
-        """Index whose sequence value is v, or 0 if v is not in the sequence."""
-        if self.kind is SequenceKind.TRIANGULAR:
-            return triangular_index(v)
-        return v
 
     def predecessor_table(self, n: int) -> list[list[int]]:
         """Predecessor lists for every element 1..n, built in bulk and cached.
@@ -166,26 +142,30 @@ class DivisibilityPoset:
         return _segmented_triangular_predecessors(n)
 
     def covers(self, i: int, j: int) -> bool:
-        """True iff j covers i: i below j, i != j, nothing strictly between."""
-        self._check_index(i)
-        self._check_index(j)
-        if i == j or not self.leq(i, j):
+        """True iff j covers i: i below j, i != j, nothing strictly between.
+
+        Straight from the definition, scanning every index between i and j;
+        it shares no code with the predecessor table, so it can check it.
+        """
+        if not self.leq(i, j) or i == j:
             return False
-        for z in self.strict_predecessors(j):
-            if z != i and self.leq(i, z):
-                return False
-        return True
+        return not any(self.leq(i, z) and self.leq(z, j) for z in range(i + 1, j))
 
     def hasse_edges(self, n: int) -> HasseGraph:
-        """Exactly the covering pairs among elements 1..n."""
+        """Exactly the covering pairs among elements 1..n.
+
+        A predecessor i of j is covered away exactly when it is also a
+        predecessor of some other predecessor z of j; the table says so.
+        """
         self._check_index(n)
         table = self.predecessor_table(n)
         edges = []
         for j in range(2, n + 1):
             preds = table[j]
-            for i in preds:
-                if not any(z != i and self.leq(i, z) for z in preds):
-                    edges.append((i, j))
+            below: set[int] = set()
+            for z in preds:
+                below.update(table[z])
+            edges.extend((i, j) for i in preds if i not in below)
         edges.sort()
         return HasseGraph(n_elements=n, edges=tuple(edges))
 

@@ -55,18 +55,18 @@ def _scale(value, lo, hi, px_lo, px_hi) -> float:
 
 def svg_line_chart(series: SeriesReport) -> str:
     """Standalone SVG line chart with axes and the series name as title."""
-    if not series.xs:
+    n = len(series)
+    if not n:
         raise ValueError("empty series")
-    xs = series.xs
     ys = [float(v) for v in series.ys]
-    xmin, xmax = xs[0], xs[-1]
+    xmin, xmax = 1, n
     ymin, ymax = min(ys), max(ys)
     px_l, px_r = _MARGIN_L, _CHART_W - _MARGIN_R
     px_t, px_b = _MARGIN_T, _CHART_H - _MARGIN_B
 
     points = " ".join(
         f"{_scale(x, xmin, xmax, px_l, px_r):.2f},{_scale(y, ymin, ymax, px_b, px_t):.2f}"
-        for x, y in zip(xs, ys)
+        for x, y in enumerate(ys, 1)
     )
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CHART_W} {_CHART_H}">\n',

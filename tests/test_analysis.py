@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from trimobius import (
     ratio_sums_index,
     ratio_sums_triangular,
 )
-from trimobius.analysis import compensated_ratio_sum
 
 TRI = SequenceKind.TRIANGULAR
 
@@ -95,8 +95,13 @@ class TestRatioSums:
     def test_exact_vs_compensated(self, mu_tri_10k):
         vec, _ = mu_tri_10k
         exact = ratio_sums_index(vec).final_value
-        compensated = compensated_ratio_sum(vec, list(range(1, len(vec) + 1)))
+        # exact_limit=0 runs the compensated float path over the whole range
+        compensated = ratio_sums_index(vec, exact_limit=0).final_value
+        # Shewchuk's exactly rounded sum of the same float terms
+        shewchuk = math.fsum(t / n for n, t in enumerate(vec.terms(), 1))
+        assert isinstance(exact, Fraction) and isinstance(compensated, float)
         assert abs(float(exact) - compensated) < 1e-9
+        assert abs(shewchuk - compensated) < 1e-9
 
     def test_float_tail_beyond_exact_limit(self, mu1000):
         report = ratio_sums_index(mu1000, exact_limit=100)

@@ -29,7 +29,7 @@ class TestMobiusCommand:
         code, out, _ = run(capsys, "mobius", "--kind", "identity", "-n", "6",
                            "--format", "json")
         assert code == 0
-        assert json.loads(out)["values"] == [1, -1, -1, 0, -1, 1]
+        assert out == '{"kind": "identity", "values": [1, -1, -1, 0, -1, 1]}\n'
 
     def test_zero_limit_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +178,17 @@ class TestClassicalCommand:
                            "--format", "bfile")
         assert code == 0
         assert out.splitlines()[-1] == "10 -1"
+
+    def test_json_values(self, capsys):
+        code, out, _ = run(capsys, "classical", "-n", "6", "--format", "json")
+        assert code == 0
+        assert out == '{"values": [1, -1, -1, 0, -1, 1]}\n'
+
+    def test_mobius_series_rejects_svg(self, capsys):
+        code, out, err = run(capsys, "classical", "-n", "6", "--format", "svg")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

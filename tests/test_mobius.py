@@ -98,6 +98,15 @@ class TestTwoVar:
         with pytest.raises(IndexError):
             mobius_two_var(tri_poset, 0, 5)
 
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_matches_dense_inverse_60(self, kind):
+        # rows[n-1][m-1] of the inverted zeta matrix is mu(m, n)
+        poset = DivisibilityPoset(kind, 60)
+        minv = invert_zeta(zeta_matrix(poset, 60))
+        for n in range(1, 61):
+            for m in range(1, 61):
+                assert mobius_two_var(poset, m, n) == minv.rows[n - 1][m - 1], (m, n)
+
 
 class TestZetaMatrix:
     def test_paper_ten_by_ten(self, tri_poset):

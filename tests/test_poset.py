@@ -117,27 +117,26 @@ class TestLeq:
 
 class TestStrictPredecessors:
     def test_paper_rows(self, tri_poset):
-        assert tri_poset.strict_predecessors(8) == [1, 2, 3]
-        assert tri_poset.strict_predecessors(9) == [1, 2, 5]
+        table = tri_poset.predecessor_table(2000)
+        assert table[8] == [1, 2, 3]
+        assert table[9] == [1, 2, 5]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_minimum_has_none(self, kind):
-        assert DivisibilityPoset(kind, 10).strict_predecessors(1) == []
+        assert DivisibilityPoset(kind, 10).predecessor_table(10)[1] == []
 
     def test_identity_gives_proper_divisors(self, identity_poset):
-        assert identity_poset.strict_predecessors(12) == [1, 2, 3, 4, 6]
-        assert identity_poset.strict_predecessors(7) == [1]
+        table = identity_poset.predecessor_table(2000)
+        assert table[12] == [1, 2, 3, 4, 6]
+        assert table[7] == [1]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_implementations_agree_to_2000(self, kind):
-        # trial loop is the oracle; divisor enumeration and the bulk table
-        # must both reproduce it exactly
+        # the trial loop is the oracle; the bulk table must reproduce it exactly
         poset = DivisibilityPoset(kind, 2000)
         table = poset.predecessor_table(2000)
         for n in range(1, 2001):
-            trial = poset.strict_predecessors_trial(n)
-            assert poset.strict_predecessors(n) == trial, n
-            assert table[n] == trial, n
+            assert table[n] == poset.strict_predecessors_trial(n), n
 
 
 class TestTriangularBuilder:
@@ -257,9 +256,23 @@ class TestHasseEdges:
         edges = tri_poset.hasse_edges(150).edges
         assert list(edges) == sorted(set(edges))
 
+    @staticmethod
+    def _covering_pairs(poset, n):
+        # covers() works from the definition and never reads the table
+        return {
+            (i, j)
+            for j in range(1, n + 1)
+            for i in poset.strict_predecessors_trial(j)
+            if poset.covers(i, j)
+        }
+
     def test_edges_are_covers(self, tri_poset):
-        for i, j in tri_poset.hasse_edges(100).edges:
-            assert tri_poset.covers(i, j)
+        edges = set(tri_poset.hasse_edges(200).edges)
+        assert edges == self._covering_pairs(tri_poset, 200)
+
+    def test_identity_edges_are_covers(self, identity_poset):
+        edges = set(identity_poset.hasse_edges(200).edges)
+        assert edges == self._covering_pairs(identity_poset, 200)
 
     def test_transitive_reduction_reaches_all_relations(self, tri_poset):
         # every related pair must be connected by a path of covering edges

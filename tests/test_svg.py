@@ -25,7 +25,7 @@ def _polyline_points(svg_text):
 
 def _flat_series(value, n):
     return SeriesReport(
-        name="flat", xs=list(range(1, n + 1)), ys=[value] * n,
+        name="flat", ys=[value] * n,
         slope_estimate=0.0, slope_lsq=0.0, final_value=value,
     )
 
