@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -262,24 +263,46 @@ class ClassicalMobiusSieve:
         return [int(v) for v in self.values[1:]]
 
 
+# Segment length of the classical sieve; one int64 product array per segment.
+_SIEVE_SEGMENT = 1 << 16
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """Primes p <= n, by an Eratosthenes sieve."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime)
+
+
 def classical_mobius(n: int) -> ClassicalMobiusSieve:
     """Sieve the classical Mobius function up to n.
 
-    One pass per prime flips the sign of its multiples; multiples of p**2
-    are zeroed.  int8 is safe: values never leave {-1, 0, 1}.
+    Only the primes p <= sqrt(n) are sieved: each flips the sign of its
+    multiples and zeroes the multiples of p**2.  A squarefree m <= n is
+    then the product of its small primes times 1 or one prime > sqrt(n);
+    a per-segment product of the small primes tells which, and the second
+    case flips the sign once more.  int8 is safe: values never leave
+    {-1, 0, 1}.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     mob = np.ones(n + 1, dtype=np.int8)
     mob[0] = 0
-    composite = np.zeros(n + 1, dtype=bool)
-    for p in range(2, n + 1):
-        if not composite[p]:
-            mob[p::p] *= -1
-            sq = p * p
-            if sq <= n:
-                composite[sq::p] = True
-                mob[sq::sq] = 0
+    primes = _primes_upto(isqrt(n)).tolist()
+    for lo in range(1, n + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, n + 1)
+        seg = mob[lo:hi]
+        # product of the distinct small primes of m; it divides m, so no overflow
+        small = np.ones(hi - lo, dtype=np.int64)
+        for p in primes:
+            first = -lo % p
+            seg[first::p] *= -1
+            small[first::p] *= p
+            seg[-lo % (p * p) :: p * p] = 0
+        seg[small != np.arange(lo, hi)] *= -1
     return ClassicalMobiusSieve(values=mob)
 
 

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poset import I64_MAX, DivisibilityPoset, SequenceKind
+
+# Largest n for which a dense n x n matrix is ever materialized.
+DENSE_CAP = 1000
+
 
 def _guard_magnitude(value: int) -> int:
     """Abort loudly instead of letting a value leave the signed 64-bit range."""
@@ -107,7 +113,9 @@ class MobiusMatrix:
 
 
 def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
-    """Dense incidence matrix of the poset restricted to 1..n."""
+    """Dense incidence matrix of the poset restricted to 1..n (n <= DENSE_CAP)."""
+    if n > DENSE_CAP:
+        raise ValueError(f"dense matrix size {n} exceeds the cap DENSE_CAP = {DENSE_CAP}")
     table = poset.predecessor_table(n)
     rows = []
     for i in range(1, n + 1):
@@ -119,58 +127,95 @@ def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
     return ZetaMatrix(n=n, rows=tuple(rows))
 
 
-def _require_lower_unitriangular(rows: tuple[tuple[int, ...], ...]) -> None:
-    for i, row in enumerate(rows):
-        if row[i] != 1:
-            raise ValueError(f"diagonal entry at row {i + 1} is {row[i]}, expected 1")
-        for j in range(i + 1, len(rows)):
-            if row[j] != 0:
-                raise ValueError(f"nonzero entry above the diagonal at ({i + 1}, {j + 1})")
+def _as_int64(rows: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
+    """The rows as an n x n int64 array; ValueError for any other shape."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    return np.array(rows, dtype=np.int64).reshape(n, n)
+
+
+def _require_lower_unitriangular(z: np.ndarray) -> None:
+    """Raise on the first entry, in row-major order, off the unit diagonal pattern."""
+    n = len(z)
+    bad = np.triu(z, 1) != 0
+    bad[np.diag_indices(n)] = z.diagonal() != 1
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), n)
+        if i == j:
+            raise ValueError(f"diagonal entry at row {i + 1} is {z[i, i]}, expected 1")
+        raise ValueError(f"nonzero entry above the diagonal at ({i + 1}, {j + 1})")
+
+
+def _check_sum_bound(magnitudes: list[int], ks: list[int]) -> None:
+    """OverflowError unless every partial sum of the vectors ks fits in int64.
+
+    magnitudes[k] bounds the entries of vector k; the check runs in Python
+    integers before the int64 sum does, so a sum that could wrap is never
+    computed.
+    """
+    bound = sum(magnitudes[k] for k in ks)
+    if bound > I64_MAX:
+        raise OverflowError(
+            f"Mobius matrix sums may reach {bound}, beyond the signed 64-bit range"
+        )
+
+
+def _forward_substitute(ones: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Rows of M with Z.M = I, Z being the 0/1 lower unitriangular `ones`.
+
+    Row i of M is e_i minus the sum of the earlier rows k with Z[i, k] = 1,
+    in int64.  Each row's largest magnitude is kept, so a sum that could
+    leave int64 raises OverflowError before it runs.
+    """
+    n = len(ones)
+    m = np.zeros((n, n), dtype=np.int64)
+    magnitude = [0] * n
+    for i in range(n):
+        ks = np.flatnonzero(ones[i, :i])
+        if len(ks):
+            _check_sum_bound(magnitude, ks.tolist())
+            np.negative(m[ks, :i].sum(0), out=m[i, :i])
+        m[i, i] = 1
+        magnitude[i] = int(np.abs(m[i, : i + 1]).max())
+    return tuple(tuple(row.tolist()) for row in m)
 
 
 def invert_zeta(zeta: ZetaMatrix) -> MobiusMatrix:
     """Exact integer inverse of a lower unitriangular 0/1 matrix.
 
-    Forward substitution row by row, walking only the positions where a
-    zeta column holds a 1.  The product check runs before returning, so a
-    bad inverse can never escape.
+    Forward substitution in int64, guarded against overflow.  The product
+    check runs before returning, so a bad inverse can never escape.
     """
-    n = zeta.n
-    _require_lower_unitriangular(zeta.rows)
-    # ones_below[j] = rows k > j with a 1 in column j, ascending
-    ones_below = [
-        [k for k in range(j + 1, n) if zeta.rows[k][j] == 1] for j in range(n)
-    ]
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        for j in range(i - 1, -1, -1):
-            acc = 0
-            for k in ones_below[j]:
-                if k > i:
-                    break
-                acc += row[k]
-            row[j] = _guard_magnitude(-acc)
-        rows.append(tuple(row))
-    mobius = MobiusMatrix(n=n, rows=tuple(rows))
+    z = _as_int64(zeta.rows, zeta.n)
+    _require_lower_unitriangular(z)
+    ones = z == 1
+    del z  # n*n int64 that the substitution no longer needs
+    mobius = MobiusMatrix(n=zeta.n, rows=_forward_substitute(ones))
     if not verify_inverse(zeta, mobius):
         raise ArithmeticError("forward substitution produced a non-inverse")
     return mobius
 
 
 def verify_inverse(zeta: ZetaMatrix, mobius: MobiusMatrix) -> bool:
-    """True iff mobius . zeta is exactly the identity matrix."""
+    """True iff mobius . zeta is exactly the identity matrix.
+
+    Column j of the product is the sum of the columns k of mobius with
+    Z[k, j] = 1, gathered in int64 after a magnitude bound rules out
+    wrapping (OverflowError otherwise).
+    """
     if zeta.n != mobius.n:
         raise ValueError(f"dimension mismatch: {mobius.n} vs {zeta.n}")
     n = zeta.n
-    ones = [[k for k in range(n) if zeta.rows[k][j] == 1] for j in range(n)]
-    for i in range(n):
-        mrow = mobius.rows[i]
-        for j in range(n):
-            acc = 0
-            for k in ones[j]:
-                acc += mrow[k]
-            if acc != (1 if i == j else 0):
-                return False
+    ones = _as_int64(zeta.rows, n) == 1
+    m = _as_int64(mobius.rows, n)
+    # exact column magnitudes: max(|max|, |min|) in Python integers
+    highs, lows = m.max(0, initial=0).tolist(), m.min(0, initial=0).tolist()
+    magnitude = [max(hi, -lo) for hi, lo in zip(highs, lows)]
+    for j in range(n):
+        ks = np.flatnonzero(ones[:, j])
+        _check_sum_bound(magnitude, ks.tolist())
+        col = m[:, ks].sum(1)
+        col[j] -= 1
+        if col.any():
+            return False
     return True

@@ -122,13 +122,18 @@ class DivisibilityPoset:
     def predecessor_table(self, n: int) -> list[list[int]]:
         """Predecessor lists for every element 1..n, built in bulk and cached.
 
-        Returns a list indexed by element (slot 0 unused).  The table is a
-        shared cache: callers must not mutate the lists.  Rebuilt from
-        scratch when a larger prefix is requested.
+        Returns a list indexed by element (slot 0 unused) that covers at
+        least 1..n; the first build covers exactly 1..n.  The table is a
+        shared cache: callers must not mutate the lists.  A larger request
+        rebuilds it to at least twice its size (capped at max_index), so
+        ascending requests cost O(log n) builds.
         """
         self._check_index(n)
-        if len(self._pred_table) <= n:
-            self._pred_table = self._build_predecessors(n)
+        built = len(self._pred_table) - 1
+        if built < n:
+            self._pred_table = self._build_predecessors(
+                min(self.max_index, max(n, 2 * built))
+            )
         return self._pred_table
 
     def _build_predecessors(self, n: int) -> list[list[int]]:

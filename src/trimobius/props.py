@@ -28,26 +28,34 @@ class PropositionVerdict:
     witness_ratio: int | None
 
 
-def prop1_check(n: int) -> PropositionVerdict:
-    """Does T(n) divide T(n(n+1))?  Holds for every n."""
+def _prop1_terms(n: int) -> tuple[int, int]:
+    """(dividend, divisor) of proposition 1: T(n(n+1)) and T(n)."""
+    return _tri(n * (n + 1)), _tri(n)
+
+
+def _prop2_terms(n: int) -> tuple[int, int]:
+    """(dividend, divisor) of proposition 2: T(T(n)) and T(n)."""
+    divisor = _tri(n)
+    return _tri(divisor), divisor
+
+
+def _verdict(n: int, terms) -> PropositionVerdict:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    divisor = _tri(n)
-    dividend = _tri(n * (n + 1))
+    dividend, divisor = terms(n)
     if dividend % divisor == 0:
         return PropositionVerdict(n=n, holds=True, witness_ratio=dividend // divisor)
     return PropositionVerdict(n=n, holds=False, witness_ratio=None)
+
+
+def prop1_check(n: int) -> PropositionVerdict:
+    """Does T(n) divide T(n(n+1))?  Holds for every n."""
+    return _verdict(n, _prop1_terms)
 
 
 def prop2_check(n: int) -> PropositionVerdict:
     """Does T(n) divide T(T(n))?  Holds exactly when n is 1 or 2 mod 4."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    divisor = _tri(n)
-    dividend = _tri(_tri(n))
-    if dividend % divisor == 0:
-        return PropositionVerdict(n=n, holds=True, witness_ratio=dividend // divisor)
-    return PropositionVerdict(n=n, holds=False, witness_ratio=None)
+    return _verdict(n, _prop2_terms)
 
 
 @dataclass(frozen=True)
@@ -68,17 +76,19 @@ def scan_range(max_n: int) -> RangeScan:
 
     prop1 must hold everywhere; prop2 must hold exactly on n = 1, 2 mod 4.
     Divisibility is recomputed by division each time, never inferred from
-    the residue.
+    the residue; the terms come from the same helpers as prop1_check and
+    prop2_check, without building a verdict per n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     p1_bad = []
     p2_bad = []
     for n in range(1, max_n + 1):
-        if not prop1_check(n).holds:
+        dividend, divisor = _prop1_terms(n)
+        if dividend % divisor:
             p1_bad.append(n)
-        expected = n % 4 in (1, 2)
-        if prop2_check(n).holds != expected:
+        dividend, divisor = _prop2_terms(n)
+        if (dividend % divisor == 0) != (n % 4 in (1, 2)):
             p2_bad.append(n)
     return RangeScan(
         max_n=max_n,

@@ -13,9 +13,6 @@ from .analysis import SeriesReport
 from .mobius import invert_zeta, zeta_matrix
 from .poset import DivisibilityPoset, SequenceKind
 
-# Dense matrices are only ever materialized up to this size.
-HEATMAP_CAP = 1000
-
 _GRAY = (217, 217, 217)
 _BLUE = (33, 102, 172)
 _RED = (178, 24, 43)
@@ -114,9 +111,10 @@ def _matrix_rows(spec: HeatmapSpec):
 
 
 def svg_heatmap(spec: HeatmapSpec) -> str:
-    """n x n cell grid; zero cells come from one light-gray background rect."""
-    if spec.n > HEATMAP_CAP:
-        raise ValueError(f"heatmap size {spec.n} exceeds cap {HEATMAP_CAP}")
+    """n x n cell grid; zero cells come from one light-gray background rect.
+
+    The size is capped by zeta_matrix at DENSE_CAP, like every dense matrix.
+    """
     rows = _matrix_rows(spec)
     n = spec.n
     cell = max(1, 640 // n)

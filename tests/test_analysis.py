@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expected import (
@@ -11,6 +13,7 @@ from expected import (
     MU_SPOT,
     MU_TRI_10,
 )
+from trimobius import analysis as analysis_module
 from trimobius import (
     DivisibilityPoset,
     MobiusVector,
@@ -187,6 +190,35 @@ class TestEstimateC:
         assert estimate_C(report) == estimate_C(report, 100)
 
 
+def _all_primes_sieve(n):
+    """The original sieve over every prime p <= n, kept as the reference."""
+    mob = np.ones(n + 1, dtype=np.int8)
+    mob[0] = 0
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            mob[p::p] *= -1
+            sq = p * p
+            if sq <= n:
+                composite[sq::p] = True
+                mob[sq::sq] = 0
+    return mob
+
+
+def _trial_mu(n):
+    """Classical mu(n) by trial division."""
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 class TestClassicalMobius:
     def test_definition_cases(self):
         sieve = classical_mobius(100)
@@ -198,23 +230,9 @@ class TestClassicalMobius:
         assert sieve.value(12) == 0
 
     def test_against_brute_force_factorization(self):
-        def mu_brute(n):
-            if n == 1:
-                return 1
-            sign = 1
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    n //= p
-                    if n % p == 0:
-                        return 0
-                    sign = -sign
-                p += 1
-            return -sign if n > 1 else sign
-
         sieve = classical_mobius(500)
         for n in range(1, 501):
-            assert sieve.value(n) == mu_brute(n), n
+            assert sieve.value(n) == _trial_mu(n), n
 
     def test_values_bounded(self):
         sieve = classical_mobius(2000)
@@ -225,6 +243,35 @@ class TestClassicalMobius:
         for p in (2, 3, 5, 7, 11, 13):
             for k in range(1, 2000 // (p * p) + 1):
                 assert sieve.value(p * p * k) == 0
+
+
+class TestSqrtSieve:
+    # segment edges of the default 2**16 segment, and p**2, p**2 +- 1 for
+    # primes around the square root of those sizes
+    EDGES = [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1]
+    SQUARES = [p * p + d for p in (251, 257, 359, 367) for d in (-1, 0, 1)]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _all_primes_sieve(max(self.EDGES + self.SQUARES))
+
+    def test_every_small_n(self, reference):
+        for n in range(1, 301):
+            assert np.array_equal(classical_mobius(n).values, reference[: n + 1]), n
+
+    @pytest.mark.parametrize("n", EDGES + SQUARES)
+    def test_segment_edges_and_prime_squares(self, n, reference):
+        assert np.array_equal(classical_mobius(n).values, reference[: n + 1])
+
+    def test_tiny_segments(self, reference, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_SIEVE_SEGMENT", 7)
+        for n in (1, 6, 7, 8, 49, 50, 300):
+            assert np.array_equal(classical_mobius(n).values, reference[: n + 1]), n
+
+    def test_sampled_values_at_1e6(self):
+        sieve = classical_mobius(10**6)
+        for n in random.Random(20241018).sample(range(1, 10**6 + 1), 200):
+            assert sieve.value(n) == _trial_mu(n), n
 
 
 class TestClassicalMertens:

@@ -140,6 +140,15 @@ class TestGraphCommands:
         assert "cap" in err
 
 
+class TestDenseCap:
+    @pytest.mark.parametrize("command", ["zeta-matrix", "mobius-matrix", "verify", "heatmap"])
+    def test_beyond_cap_is_one_line_error(self, capsys, command):
+        code, out, err = run(capsys, command, "-n", "1001")
+        assert code == 1
+        assert out == ""
+        assert err == "error: dense matrix size 1001 exceeds the cap DENSE_CAP = 1000\n"
+
+
 class TestRecordsCommand:
     def test_csv_rows(self, capsys):
         code, out, _ = run(capsys, "records", "-n", "1500")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from expected import (
@@ -9,6 +11,7 @@ from expected import (
     ZETA_TRI_10,
 )
 from trimobius import (
+    DENSE_CAP,
     DivisibilityPoset,
     MobiusMatrix,
     SequenceKind,
@@ -20,6 +23,7 @@ from trimobius import (
     verify_inverse,
     zeta_matrix,
 )
+from trimobius import mobius as mobius_module
 from trimobius.mobius import _guard_magnitude
 
 TRI = SequenceKind.TRIANGULAR
@@ -191,3 +195,97 @@ class TestVerifyInverse:
         m4 = invert_zeta(zeta_matrix(tri_poset, 4))
         with pytest.raises(ValueError):
             verify_inverse(z5, m4)
+
+
+def _forward_substitution_reference(rows):
+    """The original pure-Python forward substitution, kept as the reference."""
+    n = len(rows)
+    ones_below = [[k for k in range(j + 1, n) if rows[k][j] == 1] for j in range(n)]
+    out = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        for j in range(i - 1, -1, -1):
+            acc = 0
+            for k in ones_below[j]:
+                if k > i:
+                    break
+                acc += row[k]
+            row[j] = _guard_magnitude(-acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _random_unitriangular(n, density, rng):
+    return ZetaMatrix(
+        n=n,
+        rows=tuple(
+            tuple(int(j == i or (j < i and rng.random() < density)) for j in range(n))
+            for i in range(n)
+        ),
+    )
+
+
+class TestInt64Oracle:
+    @pytest.mark.parametrize("density", [0.05, 0.2, 0.5])
+    def test_matches_reference_on_random_matrices(self, density):
+        rng = random.Random(int(density * 100))
+        for n in (1, 2, 7, 40, 120):
+            zeta = _random_unitriangular(n, density, rng)
+            assert invert_zeta(zeta).rows == _forward_substitution_reference(zeta.rows)
+
+    def test_rejects_one_flipped_entry(self, tri_poset):
+        zeta = zeta_matrix(tri_poset, 30)
+        rows = [list(r) for r in invert_zeta(zeta).rows]
+        rng = random.Random(7)
+        for i, j in [(0, 0), (29, 29), (29, 0), (0, 29), (14, 3)] + [
+            (rng.randrange(30), rng.randrange(30)) for _ in range(20)
+        ]:
+            flipped = [list(r) for r in rows]
+            flipped[i][j] ^= 1
+            bad = MobiusMatrix(n=30, rows=tuple(map(tuple, flipped)))
+            assert not verify_inverse(zeta, bad), (i, j)
+
+    def test_overflow_raises_instead_of_wrapping(self, monkeypatch):
+        zeta = _random_unitriangular(60, 0.5, random.Random(3))
+        exact = _forward_substitution_reference(zeta.rows)
+        assert max(abs(v) for row in exact for v in row) > 64
+        monkeypatch.setattr(mobius_module, "I64_MAX", 63)
+        with pytest.raises(OverflowError):
+            invert_zeta(zeta)
+        # the substitution itself raises; the product check is not what stops it
+        monkeypatch.setattr(mobius_module, "verify_inverse", lambda zeta, mobius: True)
+        with pytest.raises(OverflowError):
+            invert_zeta(zeta)
+
+    def test_overflow_at_the_real_int64_limit(self):
+        # the exact inverse reaches 2**66 in magnitude; row 369 is the first past int64
+        with pytest.raises(OverflowError):
+            invert_zeta(_random_unitriangular(400, 0.5, random.Random(5)))
+
+    def test_first_offending_entry_in_row_major_order(self):
+        def rows(*bad):
+            r = [[int(i == j) for j in range(4)] for i in range(4)]
+            for i, j, v in bad:
+                r[i][j] = v
+            return ZetaMatrix(n=4, rows=tuple(map(tuple, r)))
+
+        cases = [
+            (rows((1, 3, 1), (2, 2, 5)), r"above the diagonal at \(2, 4\)"),
+            (rows((1, 1, 0), (1, 2, 1)), "diagonal entry at row 2 is 0"),
+            (rows((0, 3, 2), (1, 1, 7)), r"above the diagonal at \(1, 4\)"),
+            (rows((3, 3, -1)), "diagonal entry at row 4 is -1"),
+        ]
+        for zeta, message in cases:
+            with pytest.raises(ValueError, match=message):
+                invert_zeta(zeta)
+
+
+class TestDenseCap:
+    def test_zeta_matrix_refuses_beyond_cap(self, monkeypatch):
+        poset = DivisibilityPoset(TRI, DENSE_CAP + 1)
+        monkeypatch.setattr(
+            DivisibilityPoset, "predecessor_table", lambda *a: pytest.fail("allocated")
+        )
+        with pytest.raises(ValueError, match=f"DENSE_CAP = {DENSE_CAP}"):
+            zeta_matrix(poset, DENSE_CAP + 1)

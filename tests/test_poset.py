@@ -11,8 +11,10 @@ from trimobius import (
     MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
     SequenceKind,
+    mobius_one_var,
     sequence_value,
     triangular_index,
+    zeta_matrix,
 )
 
 TRI = SequenceKind.TRIANGULAR
@@ -137,6 +139,32 @@ class TestStrictPredecessors:
         table = poset.predecessor_table(2000)
         for n in range(1, 2001):
             assert table[n] == poset.strict_predecessors_trial(n), n
+
+
+class TestTableGrowth:
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_ascending_requests_build_log_times(self, kind, monkeypatch):
+        builds = []
+        build = DivisibilityPoset._build_predecessors
+
+        def counting_build(self, n):
+            builds.append(n)
+            return build(self, n)
+
+        monkeypatch.setattr(DivisibilityPoset, "_build_predecessors", counting_build)
+        poset = DivisibilityPoset(kind, 200)
+        for n in range(1, 201):
+            poset.hasse_edges(n)
+            zeta_matrix(poset, n)
+            mobius_one_var(poset, n)
+        # 1, 2, 4, ..., 128, then capped at max_index
+        assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 200]
+        fresh = DivisibilityPoset(kind, 200)
+        assert poset.predecessor_table(200) == fresh.predecessor_table(200)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_first_build_is_exact(self, kind):
+        assert len(DivisibilityPoset(kind, 500).predecessor_table(37)) == 38
 
 
 class TestTriangularBuilder:

@@ -1,5 +1,6 @@
 import pytest
 
+from trimobius import props as props_module
 from trimobius import (
     DivisibilityPoset,
     SequenceKind,
@@ -71,6 +72,20 @@ class TestScanRange:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             scan_range(0)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_agrees_with_the_verdict_functions(self, perturbed, monkeypatch):
+        # the scan divides inline; it must report what the verdicts say, also
+        # when a perturbed T(k) makes both propositions fail somewhere
+        if perturbed:
+            monkeypatch.setattr(props_module, "_tri", lambda k: _tri(k) + (k % 7 == 0))
+        scan = scan_range(3000)
+        ns = range(1, 3001)
+        assert scan.prop1_failures == tuple(n for n in ns if not prop1_check(n).holds)
+        assert scan.prop2_pattern_breaks == tuple(
+            n for n in ns if prop2_check(n).holds != (n % 4 in (1, 2))
+        )
+        assert scan.ok != perturbed
 
 
 class TestPosetConsistency:

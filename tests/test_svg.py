@@ -12,7 +12,8 @@ from trimobius import (
     svg_heatmap,
     svg_line_chart,
 )
-from trimobius.svg import HEATMAP_CAP, heat_color, render_svg_heatmap, render_svg_plot
+from trimobius.mobius import DENSE_CAP
+from trimobius.svg import heat_color, render_svg_heatmap, render_svg_plot
 
 TRI = SequenceKind.TRIANGULAR
 
@@ -111,7 +112,7 @@ class TestHeatmap:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            svg_heatmap(HeatmapSpec(matrix="mobius", kind=TRI, n=HEATMAP_CAP + 1))
+            svg_heatmap(HeatmapSpec(matrix="mobius", kind=TRI, n=DENSE_CAP + 1))
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
