@@ -15,7 +15,7 @@ from math import isqrt
 import numpy as np
 
 from .mobius import MobiusVector
-from .poset import sequence_value
+from .poset import I64_MAX, sequence_value
 
 EXACT_RATIO_LIMIT = 10_000
 
@@ -60,48 +60,58 @@ def _lsq_slope(ys) -> float:
     if n < 2:
         return 0.0
     fx = np.arange(1, n + 1, dtype=np.float64)
-    fy = np.asarray([float(v) for v in ys], dtype=np.float64)
+    fy = np.asarray(ys, dtype=np.float64)
     mx = fx.mean()
     my = fy.mean()
     denom = ((fx - mx) ** 2).sum()
     return float(((fx - mx) * (fy - my)).sum() / denom)
 
 
-def _prefix_sums(terms: list[int]) -> list[int]:
-    ys = []
-    acc = 0
-    for t in terms:
-        acc += t
-        ys.append(acc)
-    return ys
+def _int64_terms(mu: MobiusVector) -> np.ndarray:
+    terms = np.array(mu.values[1:], dtype=np.int64)
+    if not len(terms):
+        raise ValueError("empty Mobius vector")
+    return terms
+
+
+def _partial_sums(terms: np.ndarray) -> np.ndarray:
+    """int64 prefix sums of the terms.
+
+    len(terms) times the largest |term| bounds every prefix sum; it is
+    taken in Python integers, so OverflowError is raised before an int64
+    sum could wrap.
+    """
+    top = max(int(terms.max()), -int(terms.min()))
+    if top * len(terms) > I64_MAX:
+        raise OverflowError(
+            f"partial sums of {len(terms)} terms up to {top} in magnitude "
+            "may leave the signed 64-bit range"
+        )
+    return np.cumsum(terms)
 
 
 def mertens_tri(mu: MobiusVector) -> SeriesReport:
     """Partial sums of the Mobius values, the poset analog of Mertens sums."""
-    terms = mu.terms()
-    if not terms:
-        raise ValueError("empty Mobius vector")
-    ys = _prefix_sums(terms)
+    sums = _partial_sums(_int64_terms(mu))
+    ys = sums.tolist()
     return SeriesReport(
         name="mobius_partial_sums",
         ys=ys,
         slope_estimate=_endpoint_slope(ys),
-        slope_lsq=_lsq_slope(ys),
+        slope_lsq=_lsq_slope(sums),
         final_value=ys[-1],
     )
 
 
 def abs_sums(mu: MobiusVector) -> SeriesReport:
     """Partial sums of |mu|.  slope_estimate here is the density ys[N] / N."""
-    terms = [abs(t) for t in mu.terms()]
-    if not terms:
-        raise ValueError("empty Mobius vector")
-    ys = _prefix_sums(terms)
+    sums = _partial_sums(np.abs(_int64_terms(mu)))
+    ys = sums.tolist()
     return SeriesReport(
         name="mobius_abs_partial_sums",
         ys=ys,
         slope_estimate=Fraction(ys[-1], len(ys)),
-        slope_lsq=_lsq_slope(ys),
+        slope_lsq=_lsq_slope(sums),
         final_value=ys[-1],
     )
 
@@ -310,11 +320,12 @@ def classical_mertens(sieve: ClassicalMobiusSieve) -> SeriesReport:
     """Partial sums of the classical Mobius function."""
     if sieve.n < 1:
         raise ValueError("empty sieve")
-    ys = np.cumsum(sieve.values[1:], dtype=np.int64).tolist()
+    sums = np.cumsum(sieve.values[1:], dtype=np.int64)
+    ys = sums.tolist()
     return SeriesReport(
         name="classical_mertens",
         ys=ys,
         slope_estimate=_endpoint_slope(ys),
-        slope_lsq=_lsq_slope(ys),
+        slope_lsq=_lsq_slope(sums),
         final_value=ys[-1],
     )

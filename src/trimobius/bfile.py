@@ -42,10 +42,10 @@ def format_bfile(terms, offset: int = 1) -> str:
     terms = list(terms)
     if not terms:
         raise ValueError("refusing to format an empty series")
-    for t in terms:
-        if not isinstance(t, int):
-            raise TypeError(f"b-file values must be exact integers, got {t!r}")
-    return "".join(f"{offset + k} {t}\n" for k, t in enumerate(terms))
+    if not all(issubclass(tp, int) for tp in set(map(type, terms))):
+        bad = next(t for t in terms if not isinstance(t, int))
+        raise TypeError(f"b-file values must be exact integers, got {bad!r}")
+    return "".join([f"{k} {t}\n" for k, t in zip(range(offset, offset + len(terms)), terms)])
 
 
 def export_bfile(terms, path, offset: int = 1) -> None:

@@ -53,23 +53,47 @@ def _jsonable(value):
     return value
 
 
-def _series_payload(report: analysis.SeriesReport) -> dict:
-    payload = {
-        "name": report.name,
-        "xs": list(range(1, len(report) + 1)),
-        "ys": [_jsonable(y) for y in report.ys],
+def _json_array(values) -> str:
+    """Numbers as json.dumps(..., indent=2) writes a list one level deep.
+
+    repr is what json writes for an int and for a finite float.  A Fraction
+    is written as a float, as _jsonable does; a list of only Fractions and
+    floats (a ratio series) converts with map(float), which makes no
+    Python-level call per value.
+    """
+    types = set(map(type, values))
+    if types <= {Fraction, float}:
+        values = map(float, values)
+    elif not types <= {int, float}:
+        values = map(_jsonable, values)
+    body = ",\n    ".join(map(repr, values))
+    return "[\n    " + body + "\n  ]" if body else "[]"
+
+
+def _series_json(report: analysis.SeriesReport) -> str:
+    """The series as json.dumps(..., indent=2) writes it, with xs and ys in bulk.
+
+    The scalar fields still go through json.
+    """
+    n = len(report)
+    scalars = {
         "slope_estimate": _jsonable(report.slope_estimate),
         "slope_lsq": report.slope_lsq,
         "final_value": _jsonable(report.final_value),
     }
     if isinstance(report.slope_estimate, Fraction):
-        payload["slope_estimate_exact"] = str(report.slope_estimate)
-    n = len(report)
+        scalars["slope_estimate_exact"] = str(report.slope_estimate)
     if n >= 2:
-        payload["drift_last_half"] = abs(
+        scalars["drift_last_half"] = abs(
             float(report.ys[-1]) - float(report.ys[n // 2 - 1])
         )
-    return payload
+    fields = [
+        ("name", json.dumps(report.name)),
+        ("xs", _json_array(range(1, n + 1))),
+        ("ys", _json_array(report.ys)),
+        *((key, json.dumps(value)) for key, value in scalars.items()),
+    ]
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
 
 
 def _emit_series(report: analysis.SeriesReport, args, integer_values: bool) -> None:
@@ -82,7 +106,7 @@ def _emit_series(report: analysis.SeriesReport, args, integer_values: bool) -> N
         lines = "".join(f"{x},{_decimal(y)}\n" for x, y in enumerate(report.ys, 1))
         _emit(lines, args.out)
     elif fmt == "json":
-        _emit(json.dumps(_series_payload(report), indent=2) + "\n", args.out)
+        _emit(_series_json(report) + "\n", args.out)
     elif fmt == "svg":
         _emit(svg.svg_line_chart(report), args.out)
     else:

@@ -1,13 +1,14 @@
 """Mobius values of divisibility posets, by recursion and by exact matrix inversion.
 
-The recursion over cached predecessor lists is the production path; building
+The recursion over the cached predecessor table is the production path; building
 the zeta matrix and inverting it stays in as an independent correctness
 oracle for moderate sizes.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -49,25 +50,52 @@ class MobiusVector:
         return list(self.values[1:])
 
 
+def _block_end(kind: SequenceKind, lo: int) -> int:
+    """Largest hi such that every strict predecessor of lo..hi lies below lo.
+
+    For a strict predecessor d of k, value(k)/value(d) is an integer >= 2,
+    so value(d) <= value(k)/2.  While value(hi) < 2*value(lo) that puts
+    value(d) below value(lo), hence d < lo.  Identity: hi = 2*lo - 1.
+    Triangular: the largest hi with T(hi) <= 2*T(lo) - 1.
+    """
+    if kind is SequenceKind.IDENTITY:
+        return 2 * lo - 1
+    return (isqrt(16 * (lo * (lo + 1) // 2) - 7) - 1) // 2
+
+
 def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVector:
     """Compute mu(1, k) for k = 1..n by the zero-sum recursion.
 
     mu(1, 1) = 1 and, for k >= 2, mu(1, k) is minus the sum of mu(1, d)
-    over all strict predecessors d of k.  Predecessor lists come from the
-    poset's bulk cache, so the whole vector costs one pass over the lists.
+    over all strict predecessors d of k.  The values are computed in
+    geometric blocks lo..hi (see _block_end) whose predecessors all lie
+    below lo and are final, so each block is one gather and one
+    np.add.reduceat over its rows of the table; every row k >= 2 holds 1,
+    so none is empty.  Before each block, the largest |mu| so far times
+    its longest row must fit in int64, or OverflowError is raised.
     """
     if n is None:
         n = poset.max_index
     table = poset.predecessor_table(n)
-    values = [0] * (n + 1)
-    values[1] = 1
-    for k in range(2, n + 1):
-        acc = 0
-        row = values
-        for d in table[k]:
-            acc += row[d]
-        values[k] = _guard_magnitude(-acc)
-    return MobiusVector(kind=poset.kind, values=tuple(values))
+    indptr, indices = table.indptr, table.indices
+    mu = np.zeros(n + 1, dtype=np.int64)
+    mu[1] = 1
+    top = 1  # largest |mu| so far, a Python int
+    lo = 2
+    while lo <= n:
+        hi = min(n, _block_end(poset.kind, lo))
+        starts = indptr[lo : hi + 2]
+        bound = top * int(np.diff(starts).max())
+        if bound > I64_MAX:
+            raise OverflowError(
+                f"Mobius sums at n = {lo}..{hi} may reach {bound}, "
+                "beyond the signed 64-bit range"
+            )
+        gathered = mu[indices[starts[0] : starts[-1]]]
+        np.negative(np.add.reduceat(gathered, starts[:-1] - starts[0]), out=mu[lo : hi + 1])
+        top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
+        lo = hi + 1
+    return MobiusVector(kind=poset.kind, values=tuple(mu.tolist()))
 
 
 def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
@@ -99,6 +127,8 @@ class ZetaMatrix:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    # the same entries as an n x n integer array, kept by the producer
+    array: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,6 +137,8 @@ class MobiusMatrix:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    # the same entries as an n x n int64 array, kept by the producer
+    array: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def first_column(self) -> list[int]:
         return [row[0] for row in self.rows]
@@ -117,21 +149,22 @@ def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
     if n > DENSE_CAP:
         raise ValueError(f"dense matrix size {n} exceeds the cap DENSE_CAP = {DENSE_CAP}")
     table = poset.predecessor_table(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = [0] * n
-        row[i - 1] = 1
-        for d in table[i]:
-            row[d - 1] = 1
-        rows.append(tuple(row))
-    return ZetaMatrix(n=n, rows=tuple(rows))
+    ptr = table.indptr[: n + 2]
+    z = np.eye(n, dtype=np.int8)
+    z[np.repeat(np.arange(n), np.diff(ptr[1:])), table.indices[: ptr[-1]] - 1] = 1
+    return ZetaMatrix(n=n, rows=tuple(map(tuple, z.tolist())), array=z)
 
 
-def _as_int64(rows: tuple[tuple[int, ...], ...], n: int) -> np.ndarray:
-    """The rows as an n x n int64 array; ValueError for any other shape."""
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64).reshape(n, n)
+def _entries(matrix: ZetaMatrix | MobiusMatrix) -> np.ndarray:
+    """The n x n entries: the array kept with the matrix, else the rows in int64.
+
+    ValueError for rows of any other shape.
+    """
+    if matrix.array is not None:
+        return matrix.array
+    if len(matrix.rows) != matrix.n:
+        raise ValueError(f"expected {matrix.n} rows, got {len(matrix.rows)}")
+    return np.array(matrix.rows, dtype=np.int64).reshape(matrix.n, matrix.n)
 
 
 def _require_lower_unitriangular(z: np.ndarray) -> None:
@@ -160,8 +193,8 @@ def _check_sum_bound(magnitudes: list[int], ks: list[int]) -> None:
         )
 
 
-def _forward_substitute(ones: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Rows of M with Z.M = I, Z being the 0/1 lower unitriangular `ones`.
+def _forward_substitute(ones: np.ndarray) -> np.ndarray:
+    """M with Z.M = I, Z being the 0/1 lower unitriangular `ones`.
 
     Row i of M is e_i minus the sum of the earlier rows k with Z[i, k] = 1,
     in int64.  Each row's largest magnitude is kept, so a sum that could
@@ -177,21 +210,21 @@ def _forward_substitute(ones: np.ndarray) -> tuple[tuple[int, ...], ...]:
             np.negative(m[ks, :i].sum(0), out=m[i, :i])
         m[i, i] = 1
         magnitude[i] = int(np.abs(m[i, : i + 1]).max())
-    return tuple(tuple(row.tolist()) for row in m)
+    return m
 
 
 def invert_zeta(zeta: ZetaMatrix) -> MobiusMatrix:
     """Exact integer inverse of a lower unitriangular 0/1 matrix.
 
     Forward substitution in int64, guarded against overflow.  The product
-    check runs before returning, so a bad inverse can never escape.
+    check runs before returning, on the arrays already in hand, so a bad
+    inverse can never escape.
     """
-    z = _as_int64(zeta.rows, zeta.n)
+    z = _entries(zeta)
     _require_lower_unitriangular(z)
-    ones = z == 1
-    del z  # n*n int64 that the substitution no longer needs
-    mobius = MobiusMatrix(n=zeta.n, rows=_forward_substitute(ones))
-    if not verify_inverse(zeta, mobius):
+    m = _forward_substitute(z == 1)
+    mobius = MobiusMatrix(n=zeta.n, rows=tuple(map(tuple, m.tolist())), array=m)
+    if not verify_inverse(ZetaMatrix(n=zeta.n, rows=zeta.rows, array=z), mobius):
         raise ArithmeticError("forward substitution produced a non-inverse")
     return mobius
 
@@ -205,13 +238,12 @@ def verify_inverse(zeta: ZetaMatrix, mobius: MobiusMatrix) -> bool:
     """
     if zeta.n != mobius.n:
         raise ValueError(f"dimension mismatch: {mobius.n} vs {zeta.n}")
-    n = zeta.n
-    ones = _as_int64(zeta.rows, n) == 1
-    m = _as_int64(mobius.rows, n)
+    ones = _entries(zeta) == 1
+    m = _entries(mobius)
     # exact column magnitudes: max(|max|, |min|) in Python integers
     highs, lows = m.max(0, initial=0).tolist(), m.min(0, initial=0).tolist()
     magnitude = [max(hi, -lo) for hi, lo in zip(highs, lows)]
-    for j in range(n):
+    for j in range(zeta.n):
         ks = np.flatnonzero(ones[:, j])
         _check_sum_bound(magnitude, ks.tolist())
         col = m[:, ks].sum(1)

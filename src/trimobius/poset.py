@@ -17,9 +17,13 @@ import numpy as np
 
 U64_MAX = 2**64 - 1
 I64_MAX = 2**63 - 1
+I32_MAX = 2**31 - 1
 
 # Largest i with i(i+1)/2 <= U64_MAX.
 MAX_TRIANGULAR_INDEX = 6_074_000_999
+
+# Entries converted to Python ints at a time when a table is read as rows.
+_ROW_SLICE = 1 << 16
 
 
 class SequenceKind(enum.Enum):
@@ -72,6 +76,45 @@ class HasseGraph:
     edges: tuple[tuple[int, int], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class PredecessorTable:
+    """Strict predecessors of the elements 0..n, in CSR form.
+
+    Row k is indices[indptr[k]:indptr[k + 1]], ascending; indptr is int64
+    with n + 2 entries and indices is int32.  The table also reads as a
+    sequence of rows: len(t) == n + 1, t[k] is row k as a list of ints, and
+    iteration yields the rows in order.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, k: int) -> list[int]:
+        if not 0 <= k < len(self):
+            raise IndexError(f"row {k} outside 0..{len(self) - 1}")
+        return self.indices[self.indptr[k] : self.indptr[k + 1]].tolist()
+
+    def __iter__(self):
+        return iter(self.rows(len(self)))
+
+    def rows(self, stop: int) -> list[list[int]]:
+        """Rows 0..stop-1 as lists, sliced from one flat list of the entries.
+
+        Equal entries share one int object, which holds less memory than a
+        fresh int per entry; the entries are converted a slice at a time.
+        """
+        ptr = self.indptr[: stop + 1].tolist()
+        entries = self.indices[: ptr[-1]]
+        ints = list(range(stop))
+        flat: list[int] = []
+        for i in range(0, len(entries), _ROW_SLICE):
+            flat += map(ints.__getitem__, entries[i : i + _ROW_SLICE].tolist())
+        return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 class DivisibilityPoset:
     """The poset (1..max_index, <=) with i below j iff value(i) divides value(j).
 
@@ -87,7 +130,9 @@ class DivisibilityPoset:
         sequence_value(kind, max_index)
         self.kind = kind
         self.max_index = max_index
-        self._pred_table: list[list[int]] = []
+        self._pred_table = PredecessorTable(
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32)
+        )
 
     def __repr__(self) -> str:
         return f"DivisibilityPoset({self.kind.value!r}, max_index={self.max_index})"
@@ -119,14 +164,14 @@ class DivisibilityPoset:
         self._check_index(n)
         return [d for d in range(1, n) if self.leq(d, n)]
 
-    def predecessor_table(self, n: int) -> list[list[int]]:
-        """Predecessor lists for every element 1..n, built in bulk and cached.
+    def predecessor_table(self, n: int) -> PredecessorTable:
+        """Predecessor rows for every element 1..n, built in bulk and cached.
 
-        Returns a list indexed by element (slot 0 unused) that covers at
+        Returns a table indexed by element (row 0 empty) that covers at
         least 1..n; the first build covers exactly 1..n.  The table is a
-        shared cache: callers must not mutate the lists.  A larger request
-        rebuilds it to at least twice its size (capped at max_index), so
-        ascending requests cost O(log n) builds.
+        shared cache: callers must not write to its arrays.  A larger
+        request rebuilds it to at least twice its size (capped at
+        max_index), so ascending requests cost O(log n) builds.
         """
         self._check_index(n)
         built = len(self._pred_table) - 1
@@ -136,14 +181,9 @@ class DivisibilityPoset:
             )
         return self._pred_table
 
-    def _build_predecessors(self, n: int) -> list[list[int]]:
+    def _build_predecessors(self, n: int) -> PredecessorTable:
         if self.kind is SequenceKind.IDENTITY:
-            # classic multiples sieve: d is a proper divisor of every 2d, 3d, ...
-            tbl: list[list[int]] = [[] for _ in range(n + 1)]
-            for d in range(1, n // 2 + 1):
-                for m in range(2 * d, n + 1, d):
-                    tbl[m].append(d)
-            return tbl
+            return _segmented_identity_predecessors(n)
         return _segmented_triangular_predecessors(n)
 
     def covers(self, i: int, j: int) -> bool:
@@ -163,7 +203,7 @@ class DivisibilityPoset:
         predecessor of some other predecessor z of j; the table says so.
         """
         self._check_index(n)
-        table = self.predecessor_table(n)
+        table = self.predecessor_table(n).rows(n + 1)
         edges = []
         for j in range(2, n + 1):
             preds = table[j]
@@ -201,7 +241,10 @@ def _window_divisors(w0: int, w1: int) -> tuple[np.ndarray, np.ndarray]:
     divs = np.concatenate([dd, co[distinct]])
     offsets = np.zeros(w1 - w0 + 2, dtype=np.int64)
     np.cumsum(np.bincount(m - w0, minlength=w1 - w0 + 1), out=offsets[1:])
-    return divs[np.argsort(m, kind="stable")], offsets
+    # the window offsets fit the smallest unsigned type, for which numpy's
+    # stable argsort is a radix sort
+    key = (m - w0).astype(np.min_scalar_type(w1 - w0))
+    return divs[np.argsort(key, kind="stable")], offsets
 
 
 def _triangular_indices(v: np.ndarray) -> np.ndarray:
@@ -218,8 +261,43 @@ def _triangular_indices(v: np.ndarray) -> np.ndarray:
     return np.where(s * s == w, (s - 1) // 2, 0)
 
 
-def _segmented_triangular_predecessors(n: int) -> list[list[int]]:
-    """Bulk predecessor lists for the triangular poset on 1..n.
+def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
+    """Assemble the table on 1..n from blocks (lo, hi, row, pred).
+
+    The blocks cover the rows 2..n in ascending order, each holding the
+    entries of its rows lo..hi in any order.  Sorting the keys row*n + pred
+    orders a block by row and then by predecessor (pred < row <= n).
+    """
+    lengths = [np.zeros(2, dtype=np.int64)]  # rows 0 and 1 are empty
+    chunks = [np.zeros(0, dtype=np.int32)]
+    for lo, hi, row, pred in blocks:
+        key = np.sort(row * n + pred)
+        chunks.append((key % n).astype(np.int32))
+        lengths.append(np.bincount(key // n - lo, minlength=hi - lo + 1))
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.concatenate(lengths), out=indptr[1:])
+    return PredecessorTable(indptr, np.concatenate(chunks))
+
+
+def _segmented_identity_predecessors(n: int) -> PredecessorTable:
+    """Proper divisors of every m in 1..n, from windowed divisor sieves."""
+    if n > I32_MAX:
+        raise OverflowError(f"identity predecessor table for n = {n} leaves int32 indices")
+    return _csr_from_blocks(n, _identity_blocks(n))
+
+
+def _identity_blocks(n: int):
+    """Blocks (lo, hi, m, d) of the proper divisors d of each m in lo..hi."""
+    for lo in range(2, n + 1, _K_BLOCK):
+        hi = min(lo + _K_BLOCK - 1, n)
+        divs, offsets = _window_divisors(lo, hi)
+        m = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(offsets))
+        keep = divs < m
+        yield lo, hi, m[keep], divs[keep]
+
+
+def _segmented_triangular_predecessors(n: int) -> PredecessorTable:
+    """Bulk predecessor table for the triangular poset on 1..n.
 
     T(k) is the product of the coprime halves (k/2, k+1) or (k, (k+1)/2).
     Per block of k, a windowed sieve lists the divisors of both halves;
@@ -232,7 +310,11 @@ def _segmented_triangular_predecessors(n: int) -> list[list[int]]:
             f"triangular predecessor table for n = {n} leaves the exact "
             "int64 range of the builder (8*T(n)+1 > 2**63-1)"
         )
-    tbl: list[list[int]] = [[], []]
+    return _csr_from_blocks(n, _triangular_blocks(n))
+
+
+def _triangular_blocks(n: int):
+    """Blocks (lo, hi, k, d) of the triangular predecessors d of each k in lo..hi."""
     for lo in range(2, n + 1, _K_BLOCK):
         hi = min(lo + _K_BLOCK - 1, n)
         k = np.arange(lo, hi + 1, dtype=np.int64)
@@ -256,10 +338,8 @@ def _segmented_triangular_predecessors(n: int) -> list[list[int]]:
             pos = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(nc) - nc, nc)
             q, r = np.divmod(pos, n_b[row])
             idx = _triangular_indices(divs_a[start_a[row] + q] * divs_b[start_b[row] + r])
-            kk = k[row]
-            keep = (idx > 0) & (idx < kk)
-            key = np.sort(kk[keep] * n + idx[keep])
-            flat = (key % n).tolist()
-            ends = np.cumsum(np.bincount(key // n - (lo + s), minlength=e - s)).tolist()
-            tbl.extend(flat[a:b] for a, b in zip([0, *ends[:-1]], ends))
-    return tbl
+            # few candidates are triangular; among those, drop k itself
+            hit = idx > 0
+            kk, idx = row[hit] + lo, idx[hit]
+            keep = idx < kk
+            yield lo + s, lo + e - 1, kk[keep], idx[keep]

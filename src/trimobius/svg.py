@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import SeriesReport
 from .mobius import invert_zeta, zeta_matrix
 from .poset import DivisibilityPoset, SequenceKind
@@ -19,6 +21,7 @@ _RED = (178, 24, 43)
 
 _CHART_W, _CHART_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
+_POINT_CHUNK = 4096
 
 
 def heat_color(value, max_abs) -> str:
@@ -44,10 +47,16 @@ class HeatmapSpec:
     n: int
 
 
-def _scale(value, lo, hi, px_lo, px_hi) -> float:
+def _scale(values, lo, hi, px_lo, px_hi):
+    """Pixel coordinates of a value or an array of values on the axis lo..hi.
+
+    The operations and their order are those of the scalar
+    px_lo + (value - lo) * (px_hi - px_lo) / (hi - lo), so each coordinate
+    is bit-identical to it.
+    """
     if hi == lo:
-        return (px_lo + px_hi) / 2.0
-    return px_lo + (value - lo) * (px_hi - px_lo) / (hi - lo)
+        return np.full(np.shape(values), (px_lo + px_hi) / 2.0)
+    return px_lo + (values - lo) * (px_hi - px_lo) / (hi - lo)
 
 
 def svg_line_chart(series: SeriesReport) -> str:
@@ -55,15 +64,19 @@ def svg_line_chart(series: SeriesReport) -> str:
     n = len(series)
     if not n:
         raise ValueError("empty series")
-    ys = [float(v) for v in series.ys]
+    ys = np.asarray(series.ys, dtype=np.float64)
     xmin, xmax = 1, n
-    ymin, ymax = min(ys), max(ys)
+    ymin, ymax = float(ys.min()), float(ys.max())
     px_l, px_r = _MARGIN_L, _CHART_W - _MARGIN_R
     px_t, px_b = _MARGIN_T, _CHART_H - _MARGIN_B
 
+    px = _scale(np.arange(1, n + 1), xmin, xmax, px_l, px_r)
+    py = _scale(ys, ymin, ymax, px_b, px_t)
+    # formatted a chunk at a time: no list of every point's floats or text
+    c = _POINT_CHUNK
     points = " ".join(
-        f"{_scale(x, xmin, xmax, px_l, px_r):.2f},{_scale(y, ymin, ymax, px_b, px_t):.2f}"
-        for x, y in enumerate(ys, 1)
+        " ".join(map("{:.2f},{:.2f}".format, px[i : i + c].tolist(), py[i : i + c].tolist()))
+        for i in range(0, n, c)
     )
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CHART_W} {_CHART_H}">\n',

@@ -79,6 +79,40 @@ class TestAbsSums:
             prev = a
 
 
+class TestInt64PartialSums:
+    def test_plain_ints_and_slopes(self, mu1000):
+        for report in (mertens_tri(mu1000), abs_sums(mu1000)):
+            assert all(type(y) is int for y in report.ys)
+            assert report.slope_lsq == _float_list_lsq_slope(report.ys)
+
+    def test_overflow_raises_before_the_cumsum(self):
+        for values in ([2**62, 2**62], [2**62, -(2**62)], [-(2**63)]):
+            with pytest.raises(OverflowError):
+                mertens_tri(_vec(values))
+            with pytest.raises(OverflowError):
+                abs_sums(_vec(values))
+        assert mertens_tri(_vec([2**62 - 1, 2**62 - 1])).final_value == 2**63 - 2
+
+
+def _float_list_lsq_slope(ys):
+    """The original slope: one float() per value, then the same float64 formula."""
+    fx = np.arange(1, len(ys) + 1, dtype=np.float64)
+    fy = np.asarray([float(v) for v in ys], dtype=np.float64)
+    return float(((fx - fx.mean()) * (fy - fy.mean())).sum() / ((fx - fx.mean()) ** 2).sum())
+
+
+class TestLsqSlope:
+    def test_bulk_conversion_is_bit_identical(self):
+        big = [2**53 + 1, 2**60 + 3, -(2**63) - 5, 2**70 + 1, 3 * 2**80 - 1]
+        fractions = [Fraction(1, 3), Fraction(-2**60, 7), Fraction(10**30 + 1, 10**12)]
+        for ys in (big, fractions, big + fractions + [0.1, -7.25], list(range(40))):
+            assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
+
+    def test_classical_mertens_slope_from_the_int64_sums(self):
+        report = classical_mertens(classical_mobius(10**5))
+        assert report.slope_lsq == _float_list_lsq_slope(report.ys)
+
+
 class TestRatioSums:
     def test_tiny_prefixes(self):
         assert ratio_sums_index(_vec([1])).ys == [Fraction(1)]

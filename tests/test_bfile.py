@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +35,15 @@ class TestFormat:
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             format_bfile([1, 2.5])
+
+    def test_error_names_the_first_non_integer(self):
+        with pytest.raises(TypeError, match=r"got Fraction\(1, 2\)"):
+            format_bfile([1, 2, Fraction(1, 2), 2.5, "x"])
+        with pytest.raises(TypeError, match="got np.int64"):
+            format_bfile([3, np.int64(4)])
+
+    def test_offset_and_int_subclasses(self):
+        assert format_bfile([7, True, -(2**70)], offset=0) == f"0 7\n1 True\n2 {-(2**70)}\n"
 
 
 class TestParse:

@@ -1,9 +1,20 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from expected import MU_TRI_10
-from trimobius import cli
+from trimobius import (
+    MobiusVector,
+    SequenceKind,
+    SeriesReport,
+    abs_sums,
+    cli,
+    mertens_tri,
+    mobius_one_var,
+    ratio_sums_index,
+    ratio_sums_triangular,
+)
 from trimobius.cli import main
 
 
@@ -99,6 +110,56 @@ class TestSeriesCommands:
         code, out, _ = run(capsys, "sums", "-n", "50", "--format", "svg")
         assert code == 0
         assert out.startswith("<svg") and out.endswith("</svg>\n")
+
+
+def _reference_payload(report):
+    """The series payload that json.dumps(..., indent=2) used to write whole."""
+    payload = {
+        "name": report.name,
+        "xs": list(range(1, len(report) + 1)),
+        "ys": [cli._jsonable(y) for y in report.ys],
+        "slope_estimate": cli._jsonable(report.slope_estimate),
+        "slope_lsq": report.slope_lsq,
+        "final_value": cli._jsonable(report.final_value),
+    }
+    if isinstance(report.slope_estimate, Fraction):
+        payload["slope_estimate_exact"] = str(report.slope_estimate)
+    n = len(report)
+    if n >= 2:
+        payload["drift_last_half"] = abs(float(report.ys[-1]) - float(report.ys[n // 2 - 1]))
+    return payload
+
+
+class TestSeriesJson:
+    @pytest.fixture(scope="class")
+    def mu(self, tri_poset):
+        return mobius_one_var(tri_poset, 2000)
+
+    def _check(self, report):
+        assert cli._series_json(report) == json.dumps(_reference_payload(report), indent=2)
+
+    def test_integer_series(self, mu):
+        self._check(mertens_tri(mu))
+        self._check(abs_sums(mu))
+
+    def test_fraction_then_float_series(self, mu):
+        for report in (ratio_sums_index(mu, exact_limit=700),
+                       ratio_sums_triangular(mu, exact_limit=1500)):
+            assert isinstance(report.ys[0], Fraction) and isinstance(report.ys[-1], float)
+            self._check(report)
+
+    def test_one_element_series(self):
+        one = MobiusVector(kind=SequenceKind.TRIANGULAR, values=(0, 1))
+        for report in (mertens_tri(one), abs_sums(one), ratio_sums_index(one)):
+            assert len(report) == 1
+            self._check(report)
+
+    def test_hand_built_series(self):
+        mixed = [2**70 + 1, -(2**53) - 1, Fraction(-1, 3), 0.1, -0.0, 1e-300, 5e22]
+        for ys in (mixed, [0.5, -1e-7, 3.0], [Fraction(1, 3), Fraction(-7, 2)], []):
+            report = SeriesReport(name='odd "name"', ys=ys, slope_estimate=Fraction(2, 7),
+                                  slope_lsq=-1.5e-7, final_value=ys[-1] if ys else 0)
+            self._check(report)
 
 
 class TestMatrixCommands:

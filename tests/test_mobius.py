@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from expected import (
@@ -20,6 +21,7 @@ from trimobius import (
     invert_zeta,
     mobius_one_var,
     mobius_two_var,
+    sequence_value,
     verify_inverse,
     zeta_matrix,
 )
@@ -70,6 +72,43 @@ class TestOneVar:
         assert _guard_magnitude(2**63 - 1) == 2**63 - 1
         with pytest.raises(OverflowError):
             _guard_magnitude(2**63)
+
+
+def _row_loop_reference(poset, n):
+    """The original per-row recursion, kept as the reference for the blocks."""
+    table = poset.predecessor_table(n)
+    values = [0] * (n + 1)
+    values[1] = 1
+    for k in range(2, n + 1):
+        values[k] = _guard_magnitude(-sum(values[d] for d in table[k]))
+    return tuple(values)
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_matches_row_loop_2000(self, kind):
+        poset = DivisibilityPoset(kind, 2000)
+        for n in (1, 2, 3, 4, 5, 44, 2000):
+            vec = mobius_one_var(poset, n)
+            assert vec.values == _row_loop_reference(poset, n), n
+            assert all(type(v) is int for v in vec.values)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_block_end_is_the_largest_safe_end(self, kind):
+        def value(i):
+            return sequence_value(kind, i)
+
+        for lo in [*range(2, 3000), 99_999, 10**9 + 7]:
+            hi = mobius_module._block_end(kind, lo)
+            assert value(hi) < 2 * value(lo) <= value(hi + 1), lo
+
+    def test_overflow_raises_before_the_sums(self, tri_poset, monkeypatch):
+        # with int64 shrunk to 63, the bound (largest |mu| so far times the
+        # longest row of a block) passes 63 before n = 2000, not by n = 10
+        monkeypatch.setattr(mobius_module, "I64_MAX", 63)
+        with pytest.raises(OverflowError):
+            mobius_one_var(tri_poset, 2000)
+        assert mobius_one_var(tri_poset, 10).terms() == MU_TRI_10
 
 
 class TestTwoVar:
@@ -178,6 +217,38 @@ class TestInversion:
                     assert entry == sieve.value(i // j), (i, j)
                 else:
                     assert entry == 0, (i, j)
+
+
+class TestMatrixArrays:
+    def test_zeta_keeps_its_array(self, tri_poset):
+        zeta = zeta_matrix(tri_poset, 60)
+        assert zeta.array.tolist() == [list(r) for r in zeta.rows]
+        assert zeta == ZetaMatrix(n=60, rows=zeta.rows)
+
+    def test_inverse_keeps_its_array(self, tri_poset):
+        minv = invert_zeta(zeta_matrix(tri_poset, 60))
+        assert minv.array.dtype == np.int64
+        assert minv.array.tolist() == [list(r) for r in minv.rows]
+        assert minv == MobiusMatrix(n=60, rows=minv.rows)
+
+    def test_rows_are_converted_only_without_an_array(self, tri_poset, monkeypatch):
+        zeta = zeta_matrix(tri_poset, 40)
+        from_rows = ZetaMatrix(n=40, rows=zeta.rows)
+        converted = []
+        entries = mobius_module._entries
+
+        def counting_entries(matrix):
+            if matrix.array is None:
+                converted.append(matrix)
+            return entries(matrix)
+
+        monkeypatch.setattr(mobius_module, "_entries", counting_entries)
+        minv = invert_zeta(zeta)
+        assert converted == []
+        assert invert_zeta(from_rows) == minv
+        assert converted == [from_rows]
+        assert verify_inverse(from_rows, MobiusMatrix(n=40, rows=minv.rows))
+        assert len(converted) == 3
 
 
 class TestVerifyInverse:

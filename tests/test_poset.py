@@ -21,6 +21,19 @@ TRI = SequenceKind.TRIANGULAR
 IDENT = SequenceKind.IDENTITY
 
 
+def _same_table(a, b):
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def _multiples_sieve(n):
+    """The original identity builder, kept as the reference: d below 2d, 3d, ..."""
+    tbl = [[] for _ in range(n + 1)]
+    for d in range(1, n // 2 + 1):
+        for m in range(2 * d, n + 1, d):
+            tbl[m].append(d)
+    return tbl
+
+
 class TestSequenceValue:
     @pytest.mark.parametrize(
         "kind,i,expected",
@@ -160,11 +173,54 @@ class TestTableGrowth:
         # 1, 2, 4, ..., 128, then capped at max_index
         assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 200]
         fresh = DivisibilityPoset(kind, 200)
-        assert poset.predecessor_table(200) == fresh.predecessor_table(200)
+        assert _same_table(poset.predecessor_table(200), fresh.predecessor_table(200))
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_first_build_is_exact(self, kind):
         assert len(DivisibilityPoset(kind, 500).predecessor_table(37)) == 38
+
+
+class TestPredecessorTable:
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_csr_arrays_and_row_view(self, kind, monkeypatch):
+        table = DivisibilityPoset(kind, 300).predecessor_table(300)
+        assert table.indptr.dtype == np.int64 and len(table.indptr) == 302
+        assert table.indices.dtype == np.int32
+        assert len(table) == 301
+        rows = [table[k] for k in range(301)]
+        assert all(type(v) is int for row in rows for v in row)
+        assert list(table) == rows
+        assert table.rows(50) == rows[:50]
+        monkeypatch.setattr(poset_module, "_ROW_SLICE", 7)
+        assert list(table) == rows and table.rows(50) == rows[:50]
+        for k in (-1, 301):
+            with pytest.raises(IndexError):
+                table[k]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 9000])
+    def test_identity_matches_multiples_sieve(self, n):
+        assert list(poset_module._segmented_identity_predecessors(n)) == _multiples_sieve(n)
+
+    def test_identity_does_not_depend_on_block_size(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
+        assert list(poset_module._segmented_identity_predecessors(3000)) == _multiples_sieve(3000)
+
+    def test_identity_rejects_more_rows_than_int32_indices(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "_window_divisors", lambda *a: pytest.fail("built"))
+        with pytest.raises(OverflowError):
+            DivisibilityPoset(IDENT, 2**31).predecessor_table(2**31)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_predecessor_values_at_most_half_1e5(self, kind, tri_poset_1e5):
+        # what the blocked Mobius recursion relies on: value(k)/value(d) is an
+        # integer >= 2, so 2*T(d) <= T(k) (identity: 2d <= k) on every entry
+        poset = tri_poset_1e5 if kind is TRI else DivisibilityPoset(IDENT, 100_000)
+        table = poset.predecessor_table(100_000)
+        k = np.repeat(np.arange(len(table), dtype=np.int64), np.diff(table.indptr))
+        d = table.indices.astype(np.int64)
+        if kind is TRI:
+            k, d = k * (k + 1) // 2, d * (d + 1) // 2
+        assert len(d) > 0 and (2 * d <= k).all() and (k % d == 0).all()
 
 
 class TestTriangularBuilder:
@@ -190,7 +246,7 @@ class TestTriangularBuilder:
         expected = poset_module._segmented_triangular_predecessors(3000)
         monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
         monkeypatch.setattr(poset_module, "_CANDIDATE_BUDGET", 5)
-        assert poset_module._segmented_triangular_predecessors(3000) == expected
+        assert _same_table(poset_module._segmented_triangular_predecessors(3000), expected)
 
     def test_sampled_rows_match_trial_oracle_1e5(self, tri_poset_1e5):
         n = tri_poset_1e5.max_index

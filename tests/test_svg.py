@@ -1,5 +1,7 @@
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trimobius import (
@@ -9,10 +11,12 @@ from trimobius import (
     abs_sums,
     mertens_tri,
     mobius_one_var,
+    ratio_sums_triangular,
     svg_heatmap,
     svg_line_chart,
 )
 from trimobius.mobius import DENSE_CAP
+from trimobius import svg as svg_module
 from trimobius.svg import heat_color, render_svg_heatmap, render_svg_plot
 
 TRI = SequenceKind.TRIANGULAR
@@ -69,6 +73,57 @@ class TestLineChart:
         path = tmp_path / "chart.svg"
         render_svg_plot(report, path)
         assert path.read_text().startswith("<svg")
+
+
+def _scalar_chart_parts(series):
+    """Pieces of the chart as the original per-point scalar path wrote them."""
+
+    def scale(value, lo, hi, px_lo, px_hi):
+        if hi == lo:
+            return (px_lo + px_hi) / 2.0
+        return px_lo + (value - lo) * (px_hi - px_lo) / (hi - lo)
+
+    ys = [float(v) for v in series.ys]
+    n, ymin, ymax = len(ys), min(ys), max(ys)
+    points = " ".join(
+        f"{scale(x, 1, n, 70, 780):.2f},{scale(y, ymin, ymax, 450, 40):.2f}"
+        for x, y in enumerate(ys, 1)
+    )
+    parts = [
+        f'points="{points}"',
+        f'text-anchor="end">{ymin:.6g}</text>',
+        f'text-anchor="end">{ymax:.6g}</text>',
+    ]
+    if ymin < 0 < ymax:
+        zero_y = scale(0.0, ymin, ymax, 450, 40)
+        parts.append(f'y1="{zero_y:.2f}" x2="780" y2="{zero_y:.2f}"')
+    return parts
+
+
+class TestChartCoordinates:
+    def test_matches_scalar_path_1e5(self, tri_poset_1e5):
+        mu = mobius_one_var(tri_poset_1e5)
+        for report in (mertens_tri(mu), abs_sums(mu), ratio_sums_triangular(mu)):
+            svg = svg_line_chart(report)
+            for part in _scalar_chart_parts(report):
+                assert part in svg, part[:60]
+
+    def test_scale_is_bit_identical_to_the_scalar_formula(self, tri_poset_1e5):
+        ys = [float(y) for y in mertens_tri(mobius_one_var(tri_poset_1e5)).ys]
+        n, lo, hi = len(ys), min(ys), max(ys)
+        xs = svg_module._scale(np.arange(1, n + 1), 1, n, 70, 780).tolist()
+        assert xs == [70 + (x - 1) * (780 - 70) / (n - 1) for x in range(1, n + 1)]
+        pys = svg_module._scale(np.array(ys), lo, hi, 450, 40).tolist()
+        assert pys == [450 + (y - lo) * (40 - 450) / (hi - lo) for y in ys]
+
+    def test_matches_scalar_path_on_odd_values(self):
+        ys = [2**53 + 1, -(2**60) - 3, 2**70 + 1, Fraction(1, 3), -0.1, 5e-324, 0]
+        for values in (ys, ys[:1], [Fraction(2, 3)] * 3, [-(2**65)] * 2):
+            report = SeriesReport(name="odd", ys=values, slope_estimate=0.0,
+                                  slope_lsq=0.0, final_value=values[-1])
+            svg = svg_line_chart(report)
+            for part in _scalar_chart_parts(report):
+                assert part in svg, part[:60]
 
 
 class TestHeatColor:
