@@ -15,7 +15,7 @@ from math import isqrt
 import numpy as np
 
 from .mobius import MobiusVector
-from .poset import I64_MAX, sequence_value
+from .poset import I64_MAX, SequenceKind, sequence_value
 
 EXACT_RATIO_LIMIT = 10_000
 
@@ -174,7 +174,13 @@ def ratio_sums_triangular(
     mu: MobiusVector, exact_limit: int = EXACT_RATIO_LIMIT
 ) -> SeriesReport:
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
-    denominators = [sequence_value(mu.kind, k) for k in range(1, len(mu) + 1)]
+    n = len(mu)
+    sequence_value(mu.kind, max(n, 1))  # the 64-bit range check, once
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    if mu.kind is SequenceKind.TRIANGULAR:
+        # k(k+1)/2 as the product of its halves, exact up to 2**64-1
+        k = ((k + 1) >> 1) * (k | 1)
+    denominators = k.tolist()
     return _ratio_series("mobius_over_value_partial_sums", mu, denominators, exact_limit)
 
 

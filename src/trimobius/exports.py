@@ -8,7 +8,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .poset import HasseGraph
+
+# Edges formatted per slice by hasse_to_dot.
+_EDGE_SLICE = 1 << 16
 
 
 def matrix_to_csv(matrix) -> str:
@@ -30,13 +35,15 @@ def hasse_to_dot(graph: HasseGraph) -> str:
 
     rankdir=BT keeps covers pointing upward when rendered, the usual Hasse
     convention.  Every element gets a node line, so isolated elements
-    survive a round trip.
+    survive a round trip.  Edge lines are formatted a slice at a time.
     """
-    out = ["digraph hasse {\n", "  rankdir=BT;\n"]
-    for v in range(1, graph.n_elements + 1):
-        out.append(f"  {v};\n")
-    for lower, upper in graph.edges:
-        out.append(f"  {lower} -> {upper};\n")
+    out = ["digraph hasse {\n  rankdir=BT;\n"]
+    if graph.n_elements:
+        out.append("  " + ";\n  ".join(map(str, range(1, graph.n_elements + 1))) + ";\n")
+    lower, upper = graph.lower, graph.upper
+    for s in range(0, len(lower), _EDGE_SLICE):
+        pairs = zip(lower[s : s + _EDGE_SLICE].tolist(), upper[s : s + _EDGE_SLICE].tolist())
+        out.append("".join(map("  %s -> %s;\n".__mod__, pairs)))
     out.append("}\n")
     return "".join(out)
 
@@ -63,4 +70,5 @@ def parse_dot(text: str) -> HasseGraph:
             nodes.add(int(m.group(1)))
     if not nodes:
         raise ValueError("no node lines found in DOT text")
-    return HasseGraph(n_elements=max(nodes), edges=tuple(sorted(edges)))
+    lower, upper = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    return HasseGraph(max(nodes), lower, upper)

@@ -65,15 +65,35 @@ def triangular_index(v: int) -> int:
     return (s - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HasseGraph:
-    """Covering-relation edge list for the poset restricted to 1..n_elements.
+    """Covering-relation edges for the poset restricted to 1..n_elements.
 
-    Edges are (lower, upper) pairs, lexicographically sorted, duplicate-free.
+    Edge t is (lower[t], upper[t]); the pairs are sorted lexicographically
+    and duplicate-free.  The arrays are read-only.
     """
 
     n_elements: int
-    edges: tuple[tuple[int, int], ...]
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.lower.flags.writeable = False
+        self.upper.flags.writeable = False
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (lower, upper) pairs of Python ints."""
+        return tuple(zip(self.lower.tolist(), self.upper.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HasseGraph):
+            return NotImplemented
+        return (
+            self.n_elements == other.n_elements
+            and np.array_equal(self.lower, other.lower)
+            and np.array_equal(self.upper, other.upper)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +219,37 @@ class DivisibilityPoset:
     def hasse_edges(self, n: int) -> HasseGraph:
         """Exactly the covering pairs among elements 1..n.
 
-        A predecessor i of j is covered away exactly when it is also a
-        predecessor of some other predecessor z of j; the table says so.
+        A predecessor z of j is covered away exactly when it is also a
+        predecessor of some other predecessor of j.  Per block of rows, the
+        entries (j, z) have ascending keys j*(n+1) + z; every two-hop path
+        i < z < j gives the key j*(n+1) + i, which by transitivity is an
+        entry of the same block, so a binary search marks it.  The unmarked
+        entries are the covers.
         """
         self._check_index(n)
-        table = self.predecessor_table(n).rows(n + 1)
-        edges = []
-        for j in range(2, n + 1):
-            preds = table[j]
-            below: set[int] = set()
-            for z in preds:
-                below.update(table[z])
-            edges.extend((i, j) for i in preds if i not in below)
-        edges.sort()
-        return HasseGraph(n_elements=n, edges=tuple(edges))
+        table = self.predecessor_table(n)
+        indptr, indices = table.indptr, table.indices
+        lengths = np.diff(indptr[: n + 2])
+        lowers, uppers = [], []
+        for lo in range(2, n + 1, _K_BLOCK):
+            hi = min(lo + _K_BLOCK - 1, n)
+            z = indices[indptr[lo] : indptr[hi + 1]]
+            j = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), lengths[lo : hi + 1])
+            key = j * (n + 1) + z
+            # row z of the table, gathered once per entry (j, z)
+            hops = lengths[z]
+            start = np.repeat(indptr[z] - (np.cumsum(hops) - hops), hops)
+            below = indices[start + np.arange(len(start), dtype=np.int64)]
+            covered = np.zeros(len(key), dtype=bool)
+            covered[np.searchsorted(key, np.repeat(key - z, hops) + below)] = True
+            lowers.append(z[~covered])
+            uppers.append(j[~covered].astype(np.int32))
+        lower = np.concatenate([np.zeros(0, dtype=np.int32), *lowers])
+        upper = np.concatenate([np.zeros(0, dtype=np.int32), *uppers])
+        # the blocks list the edges by upper; a stable sort by lower finishes
+        # the lexicographic order
+        order = np.argsort(lower, kind="stable")
+        return HasseGraph(n, lower[order], upper[order])
 
 
 # Segment sizes for the triangular builder.  A block of k shares one pair of
@@ -266,17 +303,25 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
 
     The blocks cover the rows 2..n in ascending order, each holding the
     entries of its rows lo..hi in any order.  Sorting the keys row*n + pred
-    orders a block by row and then by predecessor (pred < row <= n).
+    orders a block by row and then by predecessor (pred < row <= n).  The
+    entries go into one buffer grown in place, so the table is never held
+    twice.  Both arrays grow with the blocks; resize fills with zeros.
     """
-    lengths = [np.zeros(2, dtype=np.int64)]  # rows 0 and 1 are empty
-    chunks = [np.zeros(0, dtype=np.int32)]
+    indptr = np.zeros(2, dtype=np.int64)  # rows 0 and 1 are empty
+    indices = np.zeros(0, dtype=np.int32)
+    size = 0
     for lo, hi, row, pred in blocks:
         key = np.sort(row * n + pred)
-        chunks.append((key % n).astype(np.int32))
-        lengths.append(np.bincount(key // n - lo, minlength=hi - lo + 1))
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.concatenate(lengths), out=indptr[1:])
-    return PredecessorTable(indptr, np.concatenate(chunks))
+        if size + len(key) > len(indices):
+            indices.resize(size + len(key) + size // 4, refcheck=False)
+        indices[size : size + len(key)] = key % n
+        size += len(key)
+        indptr.resize(hi + 2, refcheck=False)
+        indptr[lo + 1 :] = np.bincount(key // n - lo, minlength=hi - lo + 1)
+    indptr.resize(n + 2, refcheck=False)
+    np.cumsum(indptr, out=indptr)
+    indices.resize(size, refcheck=False)
+    return PredecessorTable(indptr, indices)
 
 
 def _segmented_identity_predecessors(n: int) -> PredecessorTable:

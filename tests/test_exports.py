@@ -12,6 +12,7 @@ from trimobius import (
     matrix_to_csv,
     zeta_matrix,
 )
+from trimobius import exports
 from trimobius.exports import export_dot, export_matrix_csv, parse_dot
 
 
@@ -72,6 +73,20 @@ class TestDot:
         poset = DivisibilityPoset(SequenceKind.TRIANGULAR, 120)
         graph = poset.hasse_edges(n)
         assert parse_dot(hasse_to_dot(graph)) == graph
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_round_trip_arrays(self, kind):
+        graph = DivisibilityPoset(kind, 3000).hasse_edges(3000)
+        assert parse_dot(hasse_to_dot(graph)) == graph
+
+    def test_edge_lines_span_slices(self, identity_poset, monkeypatch):
+        graph = identity_poset.hasse_edges(200)
+        expected = hasse_to_dot(graph)
+        monkeypatch.setattr(exports, "_EDGE_SLICE", 7)
+        assert hasse_to_dot(graph) == expected
+        lines = expected.splitlines()
+        assert lines[:4] == ["digraph hasse {", "  rankdir=BT;", "  1;", "  2;"]
+        assert lines[202:] == [f"  {i} -> {j};" for i, j in graph.edges] + ["}"]
 
     def test_file_round_trip(self, tri_poset, tmp_path):
         graph = tri_poset.hasse_edges(20)

@@ -319,6 +319,29 @@ class TestCovers:
         assert not tri_poset.covers(19, 4)
 
 
+class TestHasseGraph:
+    def test_equality_compares_size_and_edges(self):
+        def graph(n, pairs, dtype=np.int32):
+            lower, upper = np.array(pairs, dtype=dtype).reshape(-1, 2).T
+            return poset_module.HasseGraph(n, lower.copy(), upper.copy())
+
+        g = graph(4, [(1, 2), (1, 3), (2, 4)])
+        assert g == graph(4, [(1, 2), (1, 3), (2, 4)], dtype=np.int64)
+        assert g != graph(5, [(1, 2), (1, 3), (2, 4)])
+        assert g != graph(4, [(1, 2), (1, 3)])
+        assert g != graph(4, [(1, 2), (1, 3), (3, 4)])
+        assert g != g.edges
+        assert g.edges == ((1, 2), (1, 3), (2, 4))
+        assert all(type(v) is int for pair in g.edges for v in pair)
+
+    def test_arrays_are_read_only(self, tri_poset):
+        graph = tri_poset.hasse_edges(20)
+        with pytest.raises(ValueError):
+            graph.lower[0] = 7
+        with pytest.raises(ValueError):
+            graph.upper[0] = 7
+
+
 class TestHasseEdges:
     def test_n20_matches_oracle(self, tri_poset):
         graph = tri_poset.hasse_edges(20)
@@ -335,6 +358,8 @@ class TestHasseEdges:
     def test_single_element(self, kind):
         graph = DivisibilityPoset(kind, 5).hasse_edges(1)
         assert graph.edges == ()
+        assert len(graph.lower) == len(graph.upper) == 0
+        assert DivisibilityPoset(kind, 5).hasse_edges(2).edges == ((1, 2),)
 
     def test_sorted_and_unique(self, tri_poset):
         edges = tri_poset.hasse_edges(150).edges
@@ -377,6 +402,58 @@ class TestHasseEdges:
                 j for j in range(1, 101) if j != i and tri_poset.leq(i, j)
             }
             assert related == reachable, i
+
+    @staticmethod
+    def _set_based_edges(poset, n):
+        """The earlier set-based hasse_edges, kept as a reference: i in row j
+        is an edge unless it is in row z for some z in row j."""
+        table = list(poset.predecessor_table(n))
+        edges = []
+        for j in range(2, n + 1):
+            below = set()
+            for z in table[j]:
+                below.update(table[z])
+            edges.extend((i, j) for i in table[j] if i not in below)
+        return sorted(edges)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_matches_set_based_reference_3000(self, kind):
+        poset = DivisibilityPoset(kind, 3000)
+        assert list(poset.hasse_edges(3000).edges) == self._set_based_edges(poset, 3000)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_does_not_depend_on_block_size(self, kind, monkeypatch):
+        expected = DivisibilityPoset(kind, 3000).hasse_edges(3000)
+        monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
+        assert DivisibilityPoset(kind, 3000).hasse_edges(3000) == expected
+
+    def test_rows_at_block_edges_match_covers(self):
+        # rows are processed in blocks of _K_BLOCK starting at row 2, so the
+        # blocks end at rows 4097 and 8193
+        n = 8194
+        poset = DivisibilityPoset(TRI, n)
+        graph = poset.hasse_edges(n)
+        for j in (4095, 4096, 4097, 4098, 8192, 8193, 8194):
+            found = graph.lower[graph.upper == j].tolist()
+            expected = [i for i in poset.strict_predecessors_trial(j) if poset.covers(i, j)]
+            assert found == expected, j
+
+    def test_identity_edges_are_prime_multiples_5e4(self):
+        # j covers i in the divisor lattice exactly when j = i*p, p prime;
+        # the primes come from a sieve that never reads the table
+        n = 50_000
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, int(n**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve)
+        d = np.concatenate([np.arange(1, n // p + 1) for p in primes])
+        p = np.repeat(primes, n // primes)
+        expected = np.sort(d * (n + 1) + d * p)
+        graph = DivisibilityPoset(IDENT, n).hasse_edges(n)
+        found = graph.lower.astype(np.int64) * (n + 1) + graph.upper
+        assert np.array_equal(found, expected)
 
     def test_identity_covers_are_prime_steps(self, identity_poset):
         # in the divisor lattice, j covers i exactly when j/i is prime
