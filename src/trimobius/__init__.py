@@ -1,7 +1,6 @@
 """Exact Mobius function computation for sequence-induced divisibility posets."""
 
 from .analysis import (
-    ClassicalMobiusSieve,
     MagnitudeRecord,
     MagnitudeRecordTable,
     SeriesReport,
@@ -36,18 +35,16 @@ from .poset import (
     triangular_index,
 )
 from .props import PropositionVerdict, prop1_check, prop2_check, scan_range
-from .svg import HeatmapSpec, render_svg_heatmap, render_svg_plot, svg_heatmap, svg_line_chart
+from .svg import render_svg_heatmap, render_svg_plot, svg_heatmap, svg_line_chart
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BFile",
-    "ClassicalMobiusSieve",
     "DENSE_CAP",
     "DiffReport",
     "DivisibilityPoset",
     "HasseGraph",
-    "HeatmapSpec",
     "MAX_TRIANGULAR_INDEX",
     "MagnitudeRecord",
     "MagnitudeRecordTable",

@@ -8,7 +8,7 @@ paths where they overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -67,13 +67,6 @@ def _lsq_slope(ys) -> float:
     return float(((fx - mx) * (fy - my)).sum() / denom)
 
 
-def _int64_terms(mu: MobiusVector) -> np.ndarray:
-    terms = np.array(mu.values[1:], dtype=np.int64)
-    if not len(terms):
-        raise ValueError("empty Mobius vector")
-    return terms
-
-
 def _partial_sums(terms: np.ndarray) -> np.ndarray:
     """int64 prefix sums of the terms.
 
@@ -81,21 +74,23 @@ def _partial_sums(terms: np.ndarray) -> np.ndarray:
     taken in Python integers, so OverflowError is raised before an int64
     sum could wrap.
     """
+    if not len(terms):
+        raise ValueError("empty Mobius vector")
     top = max(int(terms.max()), -int(terms.min()))
     if top * len(terms) > I64_MAX:
         raise OverflowError(
             f"partial sums of {len(terms)} terms up to {top} in magnitude "
             "may leave the signed 64-bit range"
         )
-    return np.cumsum(terms)
+    return np.cumsum(terms, dtype=np.int64)
 
 
-def mertens_tri(mu: MobiusVector) -> SeriesReport:
-    """Partial sums of the Mobius values, the poset analog of Mertens sums."""
-    sums = _partial_sums(_int64_terms(mu))
+def _sum_series(name: str, terms: np.ndarray) -> SeriesReport:
+    """The exact prefix sums of integer terms as a named series."""
+    sums = _partial_sums(terms)
     ys = sums.tolist()
     return SeriesReport(
-        name="mobius_partial_sums",
+        name=name,
         ys=ys,
         slope_estimate=_endpoint_slope(ys),
         slope_lsq=_lsq_slope(sums),
@@ -103,17 +98,15 @@ def mertens_tri(mu: MobiusVector) -> SeriesReport:
     )
 
 
+def mertens_tri(mu: MobiusVector) -> SeriesReport:
+    """Partial sums of the Mobius values, the poset analog of Mertens sums."""
+    return _sum_series("mobius_partial_sums", mu.values[1:])
+
+
 def abs_sums(mu: MobiusVector) -> SeriesReport:
     """Partial sums of |mu|.  slope_estimate here is the density ys[N] / N."""
-    sums = _partial_sums(np.abs(_int64_terms(mu)))
-    ys = sums.tolist()
-    return SeriesReport(
-        name="mobius_abs_partial_sums",
-        ys=ys,
-        slope_estimate=Fraction(ys[-1], len(ys)),
-        slope_lsq=_lsq_slope(sums),
-        final_value=ys[-1],
-    )
+    report = _sum_series("mobius_abs_partial_sums", np.abs(mu.values[1:]))
+    return replace(report, slope_estimate=Fraction(report.final_value, len(report)))
 
 
 def _ratio_series(name, mu, denominators, exact_limit):
@@ -260,25 +253,6 @@ def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalMobiusSieve:
-    """Classical mu(n) for n = 1..N, sieve-computed. values[0] is unused."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def value(self, k: int) -> int:
-        if not 1 <= k <= self.n:
-            raise IndexError(f"index {k} outside 1..{self.n}")
-        return int(self.values[k])
-
-    def terms(self) -> list[int]:
-        return [int(v) for v in self.values[1:]]
-
-
 # Segment length of the classical sieve; one int64 product array per segment.
 _SIEVE_SEGMENT = 1 << 16
 
@@ -293,8 +267,8 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(is_prime)
 
 
-def classical_mobius(n: int) -> ClassicalMobiusSieve:
-    """Sieve the classical Mobius function up to n.
+def classical_mobius(n: int) -> MobiusVector:
+    """Sieve the classical Mobius function up to n: mu(1, n) of the identity poset.
 
     Only the primes p <= sqrt(n) are sieved: each flips the sign of its
     multiples and zeroes the multiples of p**2.  A squarefree m <= n is
@@ -319,19 +293,9 @@ def classical_mobius(n: int) -> ClassicalMobiusSieve:
             small[first::p] *= p
             seg[-lo % (p * p) :: p * p] = 0
         seg[small != np.arange(lo, hi)] *= -1
-    return ClassicalMobiusSieve(values=mob)
+    return MobiusVector(SequenceKind.IDENTITY, mob)
 
 
-def classical_mertens(sieve: ClassicalMobiusSieve) -> SeriesReport:
+def classical_mertens(sieve: MobiusVector) -> SeriesReport:
     """Partial sums of the classical Mobius function."""
-    if sieve.n < 1:
-        raise ValueError("empty sieve")
-    sums = np.cumsum(sieve.values[1:], dtype=np.int64)
-    ys = sums.tolist()
-    return SeriesReport(
-        name="classical_mertens",
-        ys=ys,
-        slope_estimate=_endpoint_slope(ys),
-        slope_lsq=_lsq_slope(sums),
-        final_value=ys[-1],
-    )
+    return _sum_series("classical_mertens", sieve.values[1:])

@@ -42,8 +42,9 @@ def format_bfile(terms, offset: int = 1) -> str:
     terms = list(terms)
     if not terms:
         raise ValueError("refusing to format an empty series")
-    if not all(issubclass(tp, int) for tp in set(map(type, terms))):
-        bad = next(t for t in terms if not isinstance(t, int))
+    types = set(map(type, terms))
+    if bool in types or not all(issubclass(tp, int) for tp in types):
+        bad = next(t for t in terms if isinstance(t, bool) or not isinstance(t, int))
         raise TypeError(f"b-file values must be exact integers, got {bad!r}")
     return "".join([f"{k} {t}\n" for k, t in zip(range(offset, offset + len(terms)), terms)])
 

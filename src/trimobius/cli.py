@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, bfile, exports, mobius, props, svg
 from .poset import DivisibilityPoset, SequenceKind
 
@@ -96,34 +98,56 @@ def _series_json(report: analysis.SeriesReport) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
 
 
-def _emit_series(report: analysis.SeriesReport, args, integer_values: bool) -> None:
-    fmt = args.format or ("bfile" if integer_values else "csv")
-    if fmt == "bfile":
-        if not integer_values:
-            raise UsageError("b-file output needs integer values; use csv or json")
-        _emit(bfile.format_bfile(report.ys), args.out)
-    elif fmt == "csv":
-        lines = "".join(f"{x},{_decimal(y)}\n" for x, y in enumerate(report.ys, 1))
-        _emit(lines, args.out)
-    elif fmt == "json":
-        _emit(_series_json(report) + "\n", args.out)
-    elif fmt == "svg":
-        _emit(svg.svg_line_chart(report), args.out)
-    else:
-        raise UsageError(f"unsupported format {fmt!r}")
+def _series_csv(report: analysis.SeriesReport) -> str:
+    return "".join(f"{x},{_decimal(y)}\n" for x, y in enumerate(report.ys, 1))
 
 
-def _emit_matrix(matrix, args) -> None:
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        _emit(exports.matrix_to_csv(matrix), args.out)
-    elif fmt == "json":
-        _emit(
-            json.dumps({"n": matrix.n, "rows": [list(r) for r in matrix.rows]}) + "\n",
-            args.out,
-        )
-    else:
-        raise UsageError(f"matrix output supports csv or json, not {fmt!r}")
+def _records_csv(table: analysis.MagnitudeRecordTable) -> str:
+    lines = ["magnitude,first_geq,first_eq\n"]
+    for row in table.rows:
+        eq = "" if row.first_equal is None else str(row.first_equal)
+        lines.append(f"{row.magnitude},{row.first_at_least},{eq}\n")
+    return "".join(lines)
+
+
+def _records_json(table: analysis.MagnitudeRecordTable) -> str:
+    rows = [
+        {"magnitude": r.magnitude, "first_geq": r.first_at_least, "first_eq": r.first_equal}
+        for r in table.rows
+    ]
+    return json.dumps({"signed": table.signed, "rows": rows}, indent=2) + "\n"
+
+
+# One table per output shape: --format -> writer of the value's text.  The
+# writers look serializers up when called, so a wrapper installed on the
+# module attribute (as the benchmark's tracer does) still sees each call.
+_SERIES = {
+    "bfile": lambda report: bfile.format_bfile(report.ys),
+    "csv": _series_csv,
+    "json": lambda report: _series_json(report) + "\n",
+    "svg": lambda report: svg.svg_line_chart(report),
+}
+# Ratio series hold fractions and floats, which a b-file cannot.
+_RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
+# Integer terms arrive as their JSON payload, the terms under "values".
+_TERMS = {
+    "bfile": lambda payload: bfile.format_bfile(payload["values"]),
+    "csv": lambda payload: "".join(f"{n},{v}\n" for n, v in enumerate(payload["values"], 1)),
+    "json": lambda payload: json.dumps(payload) + "\n",
+}
+_MATRIX = {
+    "csv": lambda matrix: exports.matrix_to_csv(matrix),
+    "json": lambda matrix: json.dumps({"n": matrix.n, "rows": matrix.array.tolist()}) + "\n",
+}
+_RECORDS = {"csv": _records_csv, "json": _records_json}
+
+
+def _write(table: dict, default: str, value, args) -> None:
+    """Write value in args.format, or in default, with the writer from table."""
+    fmt = args.format or default
+    if fmt not in table:
+        raise UsageError(f"--format {fmt} does not apply here; use one of {', '.join(table)}")
+    _emit(table[fmt](value), args.out)
 
 
 def _mobius_vector(args) -> mobius.MobiusVector:
@@ -131,35 +155,25 @@ def _mobius_vector(args) -> mobius.MobiusVector:
     return mobius.mobius_one_var(poset, args.limit)
 
 
-def _emit_terms(terms: list[int], args, payload: dict) -> None:
-    """Write integer terms as a b-file, index,value csv, or JSON.
-
-    The JSON output is payload with the terms added under "values".
-    """
-    fmt = args.format or "bfile"
-    if fmt == "bfile":
-        _emit(bfile.format_bfile(terms), args.out)
-    elif fmt == "csv":
-        _emit("".join(f"{n},{v}\n" for n, v in enumerate(terms, 1)), args.out)
-    elif fmt == "json":
-        _emit(json.dumps({**payload, "values": terms}) + "\n", args.out)
-    else:
-        raise UsageError(f"unsupported format {fmt!r}")
+def _matrix(args, which: str):
+    """The zeta matrix of the chosen poset up to args.limit, or its inverse."""
+    zeta = mobius.zeta_matrix(DivisibilityPoset(_kind(args), args.limit), args.limit)
+    return zeta if which == "zeta" else mobius.invert_zeta(zeta)
 
 
 def cmd_mobius(args) -> int:
     vec = _mobius_vector(args)
-    _emit_terms(vec.terms(), args, {"kind": vec.kind.value})
+    _write(_TERMS, "bfile", {"kind": vec.kind.value, "values": vec.terms()}, args)
     return 0
 
 
 def cmd_sums(args) -> int:
-    _emit_series(analysis.mertens_tri(_mobius_vector(args)), args, integer_values=True)
+    _write(_SERIES, "bfile", analysis.mertens_tri(_mobius_vector(args)), args)
     return 0
 
 
 def cmd_abs_sums(args) -> int:
-    _emit_series(analysis.abs_sums(_mobius_vector(args)), args, integer_values=True)
+    _write(_SERIES, "bfile", analysis.abs_sums(_mobius_vector(args)), args)
     return 0
 
 
@@ -169,20 +183,17 @@ def cmd_ratio_sums(args) -> int:
         report = analysis.ratio_sums_index(vec)
     else:
         report = analysis.ratio_sums_triangular(vec)
-    _emit_series(report, args, integer_values=False)
+    _write(_RATIO_SERIES, "csv", report, args)
     return 0
 
 
 def cmd_zeta_matrix(args) -> int:
-    poset = DivisibilityPoset(_kind(args), args.limit)
-    _emit_matrix(mobius.zeta_matrix(poset, args.limit), args)
+    _write(_MATRIX, "csv", _matrix(args, "zeta"), args)
     return 0
 
 
 def cmd_mobius_matrix(args) -> int:
-    poset = DivisibilityPoset(_kind(args), args.limit)
-    zeta = mobius.zeta_matrix(poset, args.limit)
-    _emit_matrix(mobius.invert_zeta(zeta), args)
+    _write(_MATRIX, "csv", _matrix(args, "mobius"), args)
     return 0
 
 
@@ -193,35 +204,14 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    spec = svg.HeatmapSpec(matrix=args.matrix, kind=_kind(args), n=args.limit)
-    _emit(svg.svg_heatmap(spec), args.out)
+    title = f"{args.matrix} matrix heatmap ({args.kind}, n={args.limit})"
+    _emit(svg.svg_heatmap(_matrix(args, args.matrix), title), args.out)
     return 0
 
 
 def cmd_records(args) -> int:
     table = analysis.magnitude_records(_mobius_vector(args), signed=args.signed)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        lines = ["magnitude,first_geq,first_eq\n"]
-        for row in table.rows:
-            eq = "" if row.first_equal is None else str(row.first_equal)
-            lines.append(f"{row.magnitude},{row.first_at_least},{eq}\n")
-        _emit("".join(lines), args.out)
-    elif fmt == "json":
-        payload = {
-            "signed": table.signed,
-            "rows": [
-                {
-                    "magnitude": r.magnitude,
-                    "first_geq": r.first_at_least,
-                    "first_eq": r.first_equal,
-                }
-                for r in table.rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        raise UsageError(f"records output supports csv or json, not {fmt!r}")
+    _write(_RECORDS, "csv", table, args)
     return 0
 
 
@@ -248,15 +238,16 @@ def cmd_props(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    sieve = analysis.classical_mobius(args.limit)
+    vec = analysis.classical_mobius(args.limit)
     if args.series == "mobius":
-        _emit_terms(sieve.terms(), args, {})
+        _write(_TERMS, "bfile", {"values": vec.terms()}, args)
     else:
-        _emit_series(analysis.classical_mertens(sieve), args, integer_values=True)
+        _write(_SERIES, "bfile", analysis.classical_mertens(vec), args)
     return 0
 
 
-def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> None:
+def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.MobiusVector:
+    """Check the recursion against the dense inverse and the zero sums; return it."""
     poset = DivisibilityPoset(kind, n)
     vec = mobius.mobius_one_var(poset, n)
     zeta = mobius.zeta_matrix(poset, n)
@@ -264,24 +255,23 @@ def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> None:
         minv = mobius.invert_zeta(zeta)  # checks M.Z == I internally
     except ArithmeticError as exc:
         failures.append(f"{kind.value}: {exc}")
-        return
-    if minv.first_column() != vec.terms():
+        return vec
+    if not np.array_equal(minv.array[:, 0], vec.values[1:]):
         failures.append(f"{kind.value}: inversion and recursion disagree")
     table = poset.predecessor_table(n)
     for k in range(2, n + 1):
         if vec.value(k) + sum(vec.value(d) for d in table[k]) != 0:
             failures.append(f"{kind.value}: zero-sum broken at n={k}")
             break
+    return vec
 
 
 def cmd_verify(args) -> int:
     n = args.limit or 200
     failures: list[str] = []
-    for kind in (SequenceKind.TRIANGULAR, SequenceKind.IDENTITY):
-        _verify_kind(kind, n, failures)
-    ident = DivisibilityPoset(SequenceKind.IDENTITY, n)
-    vec = mobius.mobius_one_var(ident, n)
-    if vec.terms() != analysis.classical_mobius(n).terms():
+    _verify_kind(SequenceKind.TRIANGULAR, n, failures)
+    ident = _verify_kind(SequenceKind.IDENTITY, n, failures)
+    if not np.array_equal(ident.values, analysis.classical_mobius(n).values):
         failures.append("identity kind disagrees with the classical sieve")
     if failures:
         for f in failures:
@@ -326,37 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
                 "--kind", choices=["triangular", "identity"], default="triangular"
             )
         if fmt:
-            p.add_argument("--format", choices=fmt, default=None)
+            p.add_argument("--format", choices=list(fmt), default=None)
         if out:
             p.add_argument("--out", metavar="PATH", default=None)
         p.set_defaults(func=func)
         return p
 
-    series_fmt = ["bfile", "csv", "json", "svg"]
-    add("mobius", cmd_mobius, "one-variable Mobius values", limit="req",
-        fmt=["bfile", "csv", "json"])
-    add("sums", cmd_sums, "partial sums of Mobius values", limit="req", fmt=series_fmt)
+    add("mobius", cmd_mobius, "one-variable Mobius values", limit="req", fmt=_TERMS)
+    add("sums", cmd_sums, "partial sums of Mobius values", limit="req", fmt=_SERIES)
     add("abs-sums", cmd_abs_sums, "partial sums of |Mobius values|", limit="req",
-        fmt=series_fmt)
+        fmt=_SERIES)
     p = add("ratio-sums", cmd_ratio_sums, "partial sums of mu(n)/n or mu(n)/value(n)",
-            limit="req", fmt=["csv", "json", "svg"])
+            limit="req", fmt=_RATIO_SERIES)
     p.add_argument("--denom", choices=["index", "value"], default="index")
-    add("zeta-matrix", cmd_zeta_matrix, "0/1 incidence matrix", limit="req",
-        fmt=["csv", "json"])
+    add("zeta-matrix", cmd_zeta_matrix, "0/1 incidence matrix", limit="req", fmt=_MATRIX)
     add("mobius-matrix", cmd_mobius_matrix, "exact inverse of the zeta matrix",
-        limit="req", fmt=["csv", "json"])
+        limit="req", fmt=_MATRIX)
     add("hasse", cmd_hasse, "covering relations as a DOT digraph", limit="req")
     p = add("heatmap", cmd_heatmap, "SVG heatmap of a matrix", limit="req")
     p.add_argument("--matrix", choices=["zeta", "mobius"], default="mobius")
     p = add("records", cmd_records, "first index reaching each magnitude",
-            limit="req", fmt=["csv", "json"])
+            limit="req", fmt=_RECORDS)
     p.add_argument("--signed", action="store_true",
                    help="record mu(n) >= M instead of |mu(n)| >= M")
     p = add("props", cmd_props, "verify the divisibility propositions",
             limit=False, kind=False)
     p.add_argument("--max-n", type=positive_int, default=10_000)
     p = add("classical", cmd_classical, "classical Mobius baseline", limit="req",
-            kind=False, fmt=["bfile", "csv", "json", "svg"])
+            kind=False, fmt=_SERIES)
     p.add_argument("--series", choices=["mobius", "mertens"], default="mobius")
     add("verify", cmd_verify, "internal consistency checks (default n=200)",
         out=False)

@@ -17,13 +17,8 @@ _EDGE_SLICE = 1 << 16
 
 
 def matrix_to_csv(matrix) -> str:
-    """One row per line, comma-separated decimal integers, zeros explicit.
-
-    Accepts anything with a .rows attribute (zeta or Mobius matrices) or a
-    bare sequence of rows.
-    """
-    rows = getattr(matrix, "rows", matrix)
-    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+    """One row of matrix.array per line, comma-separated integers, zeros explicit."""
+    return "".join(",".join(map(str, row)) + "\n" for row in matrix.array.tolist())
 
 
 def export_matrix_csv(matrix, path) -> None:

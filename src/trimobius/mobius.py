@@ -7,7 +7,7 @@ oracle for moderate sizes.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -25,15 +25,17 @@ def _guard_magnitude(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusVector:
-    """One-variable values mu(1, n) for n = 1..len(self), exact integers.
+    """One-variable values mu(1, n) for n = 1..len(self), as an integer array.
 
-    values[0] is an unused slot so that values[n] is the n-th entry.
+    values[0] is an unused slot so that values[n] is the n-th entry.  The
+    recursion fills int64; the classical sieve (identity kind) fills int8.
+    value() and terms() hand out Python ints.
     """
 
     kind: SequenceKind
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values) - 1
@@ -41,13 +43,13 @@ class MobiusVector:
     def value(self, n: int) -> int:
         if not 1 <= n < len(self.values):
             raise IndexError(f"index {n} outside 1..{len(self)}")
-        return self.values[n]
+        return int(self.values[n])
 
     __getitem__ = value
 
     def terms(self) -> list[int]:
         """The entries as a plain 0-based list [mu(1,1), ..., mu(1,N)]."""
-        return list(self.values[1:])
+        return self.values[1:].tolist()
 
 
 def _block_end(kind: SequenceKind, lo: int) -> int:
@@ -95,7 +97,7 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
         np.negative(np.add.reduceat(gathered, starts[:-1] - starts[0]), out=mu[lo : hi + 1])
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
         lo = hi + 1
-    return MobiusVector(kind=poset.kind, values=tuple(mu.tolist()))
+    return MobiusVector(kind=poset.kind, values=mu)
 
 
 def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
@@ -117,31 +119,45 @@ def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
     return mu[n]
 
 
-@dataclass(frozen=True)
-class ZetaMatrix:
-    """0/1 incidence matrix: rows[i-1][j-1] = 1 iff j is below i.
+@dataclass(frozen=True, eq=False)
+class _SquareMatrix:
+    """An n x n integer array; entry [i-1, j-1] belongs to the pair (i, j)."""
+
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = self.array.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {shape}")
+
+    @property
+    def n(self) -> int:
+        return len(self.array)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as tuples of Python ints, built on each call."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+
+class ZetaMatrix(_SquareMatrix):
+    """0/1 incidence matrix: array[i-1, j-1] = 1 iff j is below i.
 
     Lower triangular with unit diagonal, since a smaller value never has a
     larger index.
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    # the same entries as an n x n integer array, kept by the producer
-    array: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-
-@dataclass(frozen=True)
-class MobiusMatrix:
-    """Exact integer inverse of a zeta matrix: rows[i-1][j-1] = mu(j, i)."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    # the same entries as an n x n int64 array, kept by the producer
-    array: np.ndarray | None = field(default=None, compare=False, repr=False)
+class MobiusMatrix(_SquareMatrix):
+    """Exact integer inverse of a zeta matrix: array[i-1, j-1] = mu(j, i)."""
 
     def first_column(self) -> list[int]:
-        return [row[0] for row in self.rows]
+        return self.array[:, 0].tolist()
 
 
 def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
@@ -152,19 +168,7 @@ def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
     ptr = table.indptr[: n + 2]
     z = np.eye(n, dtype=np.int8)
     z[np.repeat(np.arange(n), np.diff(ptr[1:])), table.indices[: ptr[-1]] - 1] = 1
-    return ZetaMatrix(n=n, rows=tuple(map(tuple, z.tolist())), array=z)
-
-
-def _entries(matrix: ZetaMatrix | MobiusMatrix) -> np.ndarray:
-    """The n x n entries: the array kept with the matrix, else the rows in int64.
-
-    ValueError for rows of any other shape.
-    """
-    if matrix.array is not None:
-        return matrix.array
-    if len(matrix.rows) != matrix.n:
-        raise ValueError(f"expected {matrix.n} rows, got {len(matrix.rows)}")
-    return np.array(matrix.rows, dtype=np.int64).reshape(matrix.n, matrix.n)
+    return ZetaMatrix(z)
 
 
 def _require_lower_unitriangular(z: np.ndarray) -> None:
@@ -220,11 +224,9 @@ def invert_zeta(zeta: ZetaMatrix) -> MobiusMatrix:
     check runs before returning, on the arrays already in hand, so a bad
     inverse can never escape.
     """
-    z = _entries(zeta)
-    _require_lower_unitriangular(z)
-    m = _forward_substitute(z == 1)
-    mobius = MobiusMatrix(n=zeta.n, rows=tuple(map(tuple, m.tolist())), array=m)
-    if not verify_inverse(ZetaMatrix(n=zeta.n, rows=zeta.rows, array=z), mobius):
+    _require_lower_unitriangular(zeta.array)
+    mobius = MobiusMatrix(_forward_substitute(zeta.array == 1))
+    if not verify_inverse(zeta, mobius):
         raise ArithmeticError("forward substitution produced a non-inverse")
     return mobius
 
@@ -238,8 +240,8 @@ def verify_inverse(zeta: ZetaMatrix, mobius: MobiusMatrix) -> bool:
     """
     if zeta.n != mobius.n:
         raise ValueError(f"dimension mismatch: {mobius.n} vs {zeta.n}")
-    ones = _entries(zeta) == 1
-    m = _entries(mobius)
+    ones = zeta.array == 1
+    m = mobius.array
     # exact column magnitudes: max(|max|, |min|) in Python integers
     highs, lows = m.max(0, initial=0).tolist(), m.min(0, initial=0).tolist()
     magnitude = [max(hi, -lo) for hi, lo in zip(highs, lows)]

@@ -6,14 +6,11 @@ keep the output byte-deterministic, which the golden tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import SeriesReport
-from .mobius import invert_zeta, zeta_matrix
-from .poset import DivisibilityPoset, SequenceKind
 
 _GRAY = (217, 217, 217)
 _BLUE = (33, 102, 172)
@@ -36,15 +33,6 @@ def heat_color(value, max_abs) -> str:
     base = _BLUE if value > 0 else _RED
     rgb = tuple(round(g + (b - g) * t) for g, b in zip(_GRAY, base))
     return "#%02x%02x%02x" % rgb
-
-
-@dataclass(frozen=True)
-class HeatmapSpec:
-    """Which matrix to draw: zeta or mobius, for which poset and size."""
-
-    matrix: str  # "zeta" | "mobius"
-    kind: SequenceKind
-    n: int
 
 
 def _scale(values, lo, hi, px_lo, px_hi):
@@ -113,44 +101,33 @@ def render_svg_plot(series: SeriesReport, path) -> None:
     Path(path).write_text(svg_line_chart(series), encoding="ascii")
 
 
-def _matrix_rows(spec: HeatmapSpec):
-    poset = DivisibilityPoset(spec.kind, spec.n)
-    zeta = zeta_matrix(poset, spec.n)
-    if spec.matrix == "zeta":
-        return zeta.rows
-    if spec.matrix == "mobius":
-        return invert_zeta(zeta).rows
-    raise ValueError(f"unknown matrix source {spec.matrix!r}")
+def svg_heatmap(matrix, title: str) -> str:
+    """n x n cell grid of matrix.array; zero cells come from one gray background rect.
 
-
-def svg_heatmap(spec: HeatmapSpec) -> str:
-    """n x n cell grid; zero cells come from one light-gray background rect.
-
-    The size is capped by zeta_matrix at DENSE_CAP, like every dense matrix.
+    matrix is a zeta or Mobius matrix, or anything with a square integer
+    .array.  The caller builds it, so the size cap is that of zeta_matrix.
     """
-    rows = _matrix_rows(spec)
-    n = spec.n
+    entries = matrix.array
+    n = len(entries)
     cell = max(1, 640 // n)
     side = n * cell
-    max_abs = max(max(abs(v) for v in row) for row in rows)
+    max_abs = max(int(entries.max()), -int(entries.min()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}">\n',
-        f"<title>{spec.matrix} matrix heatmap ({spec.kind.value}, n={n})</title>\n",
+        f"<title>{title}</title>\n",
         f'<rect x="0" y="0" width="{side}" height="{side}" '
         f'fill="#%02x%02x%02x"/>\n' % _GRAY,
     ]
-    for i, row in enumerate(rows):
-        y = i * cell
-        for j, v in enumerate(row):
-            if v == 0:
-                continue
-            parts.append(
-                f'<rect x="{j * cell}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{heat_color(v, max_abs)}"/>\n'
-            )
+    # np.nonzero lists the cells in row-major order
+    rows, cols = np.nonzero(entries)
+    for i, j, v in zip(rows.tolist(), cols.tolist(), entries[rows, cols].tolist()):
+        parts.append(
+            f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
+            f'fill="{heat_color(v, max_abs)}"/>\n'
+        )
     parts.append("</svg>\n")
     return "".join(parts)
 
 
-def render_svg_heatmap(spec: HeatmapSpec, path) -> None:
-    Path(path).write_text(svg_heatmap(spec), encoding="ascii")
+def render_svg_heatmap(matrix, title: str, path) -> None:
+    Path(path).write_text(svg_heatmap(matrix, title), encoding="ascii")

@@ -33,7 +33,7 @@ TRI = SequenceKind.TRIANGULAR
 
 
 def _vec(terms, kind=TRI):
-    return MobiusVector(kind=kind, values=(0, *terms))
+    return MobiusVector(kind=kind, values=np.array((0, *terms), dtype=np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -41,9 +41,15 @@ class TestFormat:
             format_bfile([1, 2, Fraction(1, 2), 2.5, "x"])
         with pytest.raises(TypeError, match="got np.int64"):
             format_bfile([3, np.int64(4)])
+        # a bool would be written as "True", which parse_bfile rejects
+        with pytest.raises(TypeError, match="got False"):
+            format_bfile([3, False, True])
 
     def test_offset_and_int_subclasses(self):
-        assert format_bfile([7, True, -(2**70)], offset=0) == f"0 7\n1 True\n2 {-(2**70)}\n"
+        class Index(int):
+            pass
+
+        assert format_bfile([7, Index(5), -(2**70)], offset=0) == f"0 7\n1 5\n2 {-(2**70)}\n"
 
 
 class TestParse:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expected import MU_TRI_10
@@ -149,7 +150,7 @@ class TestSeriesJson:
             self._check(report)
 
     def test_one_element_series(self):
-        one = MobiusVector(kind=SequenceKind.TRIANGULAR, values=(0, 1))
+        one = MobiusVector(kind=SequenceKind.TRIANGULAR, values=np.array([0, 1]))
         for report in (mertens_tri(one), abs_sums(one), ratio_sums_index(one)):
             assert len(report) == 1
             self._check(report)
@@ -199,6 +200,11 @@ class TestGraphCommands:
         code, _, err = run(capsys, "heatmap", "-n", "1001")
         assert code == 1
         assert "cap" in err
+
+    def test_heatmap_unknown_matrix_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", "-n", "5", "--matrix", "sigma"])
+        assert exc.value.code == 2
 
 
 class TestDenseCap:

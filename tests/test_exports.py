@@ -29,9 +29,10 @@ class TestMatrixCsv:
         assert matrix_to_csv(zeta_matrix(tri_poset, 1)) == "1\n"
 
     def test_full_paper_matrices(self, tri_poset):
-        assert matrix_to_csv(ZETA_TRI_10) == matrix_to_csv(zeta_matrix(tri_poset, 10))
-        assert matrix_to_csv(MOBIUS_TRI_10) == matrix_to_csv(
-            invert_zeta(zeta_matrix(tri_poset, 10))
+        zeta = zeta_matrix(tri_poset, 10)
+        assert matrix_to_csv(zeta) == "".join(",".join(map(str, r)) + "\n" for r in ZETA_TRI_10)
+        assert matrix_to_csv(invert_zeta(zeta)) == "".join(
+            ",".join(map(str, r)) + "\n" for r in MOBIUS_TRI_10
         )
 
     def test_file_round_trip(self, tri_poset, tmp_path):

@@ -90,8 +90,9 @@ class TestBlockedRecursion:
         poset = DivisibilityPoset(kind, 2000)
         for n in (1, 2, 3, 4, 5, 44, 2000):
             vec = mobius_one_var(poset, n)
-            assert vec.values == _row_loop_reference(poset, n), n
-            assert all(type(v) is int for v in vec.values)
+            assert vec.values.dtype == np.int64
+            assert vec.values.tolist() == list(_row_loop_reference(poset, n)), n
+            assert all(type(v) is int for v in vec.terms())
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_block_end_is_the_largest_safe_end(self, kind):
@@ -180,10 +181,8 @@ class TestInversion:
         assert [list(r) for r in minv.rows] == MOBIUS_TRI_10
 
     def test_identity_matrix_is_self_inverse(self):
-        eye = ZetaMatrix(
-            n=4, rows=tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-        )
-        assert invert_zeta(eye).rows == eye.rows
+        eye = ZetaMatrix(np.eye(4, dtype=np.int64))
+        assert np.array_equal(invert_zeta(eye).array, eye.array)
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_first_column_equals_recursion_n200(self, kind):
@@ -199,10 +198,10 @@ class TestInversion:
         assert verify_inverse(zeta, invert_zeta(zeta))
 
     def test_rejects_non_unitriangular(self):
-        bad = ZetaMatrix(n=2, rows=((1, 1), (0, 1)))
+        bad = ZetaMatrix(np.array([[1, 1], [0, 1]]))
         with pytest.raises(ValueError):
             invert_zeta(bad)
-        bad_diag = ZetaMatrix(n=2, rows=((2, 0), (1, 1)))
+        bad_diag = ZetaMatrix(np.array([[2, 0], [1, 1]]))
         with pytest.raises(ValueError):
             invert_zeta(bad_diag)
 
@@ -222,44 +221,42 @@ class TestInversion:
 class TestMatrixArrays:
     def test_zeta_keeps_its_array(self, tri_poset):
         zeta = zeta_matrix(tri_poset, 60)
-        assert zeta.array.tolist() == [list(r) for r in zeta.rows]
-        assert zeta == ZetaMatrix(n=60, rows=zeta.rows)
+        assert zeta.array.dtype == np.int8 and zeta.n == 60
+        assert zeta.rows == tuple(map(tuple, zeta.array.tolist()))
+        assert zeta == ZetaMatrix(zeta.array.astype(np.int64))
 
     def test_inverse_keeps_its_array(self, tri_poset):
         minv = invert_zeta(zeta_matrix(tri_poset, 60))
-        assert minv.array.dtype == np.int64
-        assert minv.array.tolist() == [list(r) for r in minv.rows]
-        assert minv == MobiusMatrix(n=60, rows=minv.rows)
+        assert minv.array.dtype == np.int64 and minv.n == 60
+        assert minv.first_column() == minv.array[:, 0].tolist()
+        assert all(type(v) is int for v in minv.first_column())
+        assert minv == MobiusMatrix(minv.array.copy())
+        assert minv != MobiusMatrix(zeta_matrix(tri_poset, 60).array)
 
-    def test_rows_are_converted_only_without_an_array(self, tri_poset, monkeypatch):
+    def test_caller_built_arrays(self, tri_poset):
         zeta = zeta_matrix(tri_poset, 40)
-        from_rows = ZetaMatrix(n=40, rows=zeta.rows)
-        converted = []
-        entries = mobius_module._entries
-
-        def counting_entries(matrix):
-            if matrix.array is None:
-                converted.append(matrix)
-            return entries(matrix)
-
-        monkeypatch.setattr(mobius_module, "_entries", counting_entries)
         minv = invert_zeta(zeta)
-        assert converted == []
-        assert invert_zeta(from_rows) == minv
-        assert converted == [from_rows]
-        assert verify_inverse(from_rows, MobiusMatrix(n=40, rows=minv.rows))
-        assert len(converted) == 3
+        from_caller = ZetaMatrix(np.array(zeta.rows, dtype=np.int64))
+        assert invert_zeta(from_caller) == minv
+        assert verify_inverse(from_caller, MobiusMatrix(np.array(minv.rows)))
+
+    def test_rejects_non_square_arrays(self):
+        for shape in ((2, 3), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                ZetaMatrix(np.ones(shape, dtype=np.int64))
+        with pytest.raises(ValueError, match="square"):
+            MobiusMatrix(np.ones((3, 1), dtype=np.int64))
 
 
 class TestVerifyInverse:
     def test_accepts_paper_pair(self):
-        zeta = ZetaMatrix(n=10, rows=tuple(tuple(r) for r in ZETA_TRI_10))
-        minv = MobiusMatrix(n=10, rows=tuple(tuple(r) for r in MOBIUS_TRI_10))
+        zeta = ZetaMatrix(np.array(ZETA_TRI_10))
+        minv = MobiusMatrix(np.array(MOBIUS_TRI_10))
         assert verify_inverse(zeta, minv)
 
     def test_rejects_zeta_as_its_own_inverse(self, tri_poset):
         zeta = zeta_matrix(tri_poset, 5)
-        assert not verify_inverse(zeta, MobiusMatrix(n=5, rows=zeta.rows))
+        assert not verify_inverse(zeta, MobiusMatrix(zeta.array))
 
     def test_dimension_mismatch(self, tri_poset):
         z5 = zeta_matrix(tri_poset, 5)
@@ -289,11 +286,11 @@ def _forward_substitution_reference(rows):
 
 def _random_unitriangular(n, density, rng):
     return ZetaMatrix(
-        n=n,
-        rows=tuple(
-            tuple(int(j == i or (j < i and rng.random() < density)) for j in range(n))
-            for i in range(n)
-        ),
+        np.array(
+            [[int(j == i or (j < i and rng.random() < density)) for j in range(n)]
+             for i in range(n)],
+            dtype=np.int64,
+        )
     )
 
 
@@ -314,7 +311,7 @@ class TestInt64Oracle:
         ]:
             flipped = [list(r) for r in rows]
             flipped[i][j] ^= 1
-            bad = MobiusMatrix(n=30, rows=tuple(map(tuple, flipped)))
+            bad = MobiusMatrix(np.array(flipped))
             assert not verify_inverse(zeta, bad), (i, j)
 
     def test_overflow_raises_instead_of_wrapping(self, monkeypatch):
@@ -339,7 +336,7 @@ class TestInt64Oracle:
             r = [[int(i == j) for j in range(4)] for i in range(4)]
             for i, j, v in bad:
                 r[i][j] = v
-            return ZetaMatrix(n=4, rows=tuple(map(tuple, r)))
+            return ZetaMatrix(np.array(r))
 
         cases = [
             (rows((1, 3, 1), (2, 2, 5)), r"above the diagonal at \(2, 4\)"),

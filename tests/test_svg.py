@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from trimobius import (
+    DENSE_CAP,
+    DivisibilityPoset,
     SeriesReport,
-    HeatmapSpec,
     SequenceKind,
     abs_sums,
+    classical_mobius,
+    invert_zeta,
     mertens_tri,
     mobius_one_var,
     ratio_sums_triangular,
     svg_heatmap,
     svg_line_chart,
+    zeta_matrix,
 )
-from trimobius.mobius import DENSE_CAP
 from trimobius import svg as svg_module
 from trimobius.svg import heat_color, render_svg_heatmap, render_svg_plot
 
@@ -147,9 +150,13 @@ class TestHeatColor:
         assert strong == "#2166ac"
 
 
+def _zeta(n, kind=TRI):
+    return zeta_matrix(DivisibilityPoset(kind, n), n)
+
+
 class TestHeatmap:
     def test_mobius_cells(self):
-        svg = svg_heatmap(HeatmapSpec(matrix="mobius", kind=TRI, n=10))
+        svg = svg_heatmap(invert_zeta(_zeta(10)), "t")
         cell = 64  # 640 // 10
         # cell (row 2, col 1) holds -1: a red-family rect
         assert f'<rect x="0" y="{cell}" width="{cell}" height="{cell}" fill="#b2182b"/>' in svg
@@ -157,37 +164,42 @@ class TestHeatmap:
         assert f'<rect x="0" y="0" width="{cell}" height="{cell}" fill="#2166ac"/>' in svg
 
     def test_zeta_has_no_red(self):
-        svg = svg_heatmap(HeatmapSpec(matrix="zeta", kind=TRI, n=20))
+        svg = svg_heatmap(_zeta(20), "t")
         assert "#b2182b" not in svg
         assert "#2166ac" in svg
 
     def test_zero_background_present(self):
-        svg = svg_heatmap(HeatmapSpec(matrix="mobius", kind=TRI, n=10))
+        svg = svg_heatmap(invert_zeta(_zeta(10)), "t")
         assert "#d9d9d9" in svg
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            svg_heatmap(HeatmapSpec(matrix="mobius", kind=TRI, n=DENSE_CAP + 1))
+    def test_title_and_row_major_cells(self):
+        minv = invert_zeta(_zeta(30))
+        svg = svg_heatmap(minv, "mobius matrix heatmap (triangular, n=30)")
+        assert "<title>mobius matrix heatmap (triangular, n=30)</title>" in svg
+        cell = 640 // 30
+        cells = [(int(y) // cell, int(x) // cell) for x, y in re.findall(
+            rf'<rect x="(\d+)" y="(\d+)" width="{cell}"', svg)]
+        expected = [(i, j) for i, row in enumerate(minv.rows)
+                    for j, v in enumerate(row) if v != 0]
+        assert cells == expected
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            svg_heatmap(HeatmapSpec(matrix="sigma", kind=TRI, n=5))
+    def test_cap_enforced(self):
+        # the heatmap is drawn from a matrix the caller builds; past DENSE_CAP
+        # zeta_matrix refuses to build one, so no oversized heatmap is drawn
+        with pytest.raises(ValueError, match="DENSE_CAP"):
+            svg_heatmap(_zeta(DENSE_CAP + 1), "t")
 
     def test_identity_kind_matches_classical_pattern(self):
         # spot-check the divisor-lattice heatmap against classical values:
         # row 6 has entries mu(6/j) at j | 6
-        from trimobius import classical_mobius, invert_zeta, zeta_matrix
-        from trimobius import DivisibilityPoset
-
-        svg = svg_heatmap(HeatmapSpec(matrix="mobius", kind=SequenceKind.IDENTITY, n=10))
+        minv = invert_zeta(_zeta(10, SequenceKind.IDENTITY))
+        svg = svg_heatmap(minv, "t")
         assert svg.count("<rect") > 10
-        poset = DivisibilityPoset(SequenceKind.IDENTITY, 10)
-        rows = invert_zeta(zeta_matrix(poset, 10)).rows
         sieve = classical_mobius(10)
         for j in (1, 2, 3, 6):
-            assert rows[5][j - 1] == sieve.value(6 // j)
+            assert minv.array[5, j - 1] == sieve.value(6 // j)
 
     def test_write_to_file(self, tmp_path):
         path = tmp_path / "heat.svg"
-        render_svg_heatmap(HeatmapSpec(matrix="zeta", kind=TRI, n=5), path)
+        render_svg_heatmap(_zeta(5), "t", path)
         assert path.read_text().endswith("</svg>\n")
