@@ -27,14 +27,16 @@ RATIO_CROSSCHECK_TOL = 1e-9
 class SeriesReport:
     """A named prefix-sum series with slope estimates.
 
-    ys[k] is the partial sum through index k + 1; entries are exact ints,
-    exact Fractions, or floats (ratio tails).  slope_estimate is the headline
-    per-index slope; slope_lsq is an ordinary least-squares slope kept
-    alongside because the endpoint formula is sensitive to both ends.
+    ys[k] is the partial sum through index k + 1.  An integer series holds
+    an int64 array; a ratio series a list of exact Fractions, then floats
+    (its tail).  final_value is a Python int, Fraction or float.
+    slope_estimate is the headline per-index slope; slope_lsq is an
+    ordinary least-squares slope kept alongside because the endpoint
+    formula is sensitive to both ends.
     """
 
     name: str
-    ys: list
+    ys: np.ndarray | list
     slope_estimate: Fraction | float
     slope_lsq: float
     final_value: Fraction | float | int
@@ -43,28 +45,32 @@ class SeriesReport:
         return len(self.ys)
 
 
-def _endpoint_slope(ys):
-    """(y_N - y_1) / (N - 1); zero for a single point."""
-    if len(ys) < 2:
+def _endpoint_slope(first, last, n: int):
+    """(y_N - y_1) / (N - 1) for N = n points; zero for a single point."""
+    if n < 2:
         return Fraction(0)
-    dy = ys[-1] - ys[0]
-    dx = len(ys) - 1
+    dy = last - first
     if isinstance(dy, (int, Fraction)):
-        return Fraction(dy, dx)
-    return dy / dx
+        return Fraction(dy, n - 1)
+    return dy / (n - 1)
 
 
 def _lsq_slope(ys) -> float:
-    """Ordinary least-squares slope of ys against x = 1..N."""
+    """Ordinary least-squares slope of ys against x = 1..N.
+
+    Two float64 arrays, centred in place; the products and sums are those
+    of sum((x - mx) * (y - my)) / sum((x - mx) ** 2), bit for bit.
+    """
     n = len(ys)
     if n < 2:
         return 0.0
-    fx = np.arange(1, n + 1, dtype=np.float64)
-    fy = np.asarray(ys, dtype=np.float64)
-    mx = fx.mean()
-    my = fy.mean()
-    denom = ((fx - mx) ** 2).sum()
-    return float(((fx - mx) * (fy - my)).sum() / denom)
+    dx = np.arange(1, n + 1, dtype=np.float64)
+    dx -= dx.mean()
+    dy = np.array(ys, dtype=np.float64)  # always a copy: ys is not modified
+    dy -= dy.mean()
+    dy *= dx
+    dx *= dx
+    return float(dy.sum() / dx.sum())
 
 
 def _partial_sums(terms: np.ndarray) -> np.ndarray:
@@ -86,15 +92,15 @@ def _partial_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def _sum_series(name: str, terms: np.ndarray) -> SeriesReport:
-    """The exact prefix sums of integer terms as a named series."""
+    """The exact prefix sums of integer terms as a named int64 series."""
     sums = _partial_sums(terms)
-    ys = sums.tolist()
+    final = int(sums[-1])
     return SeriesReport(
         name=name,
-        ys=ys,
-        slope_estimate=_endpoint_slope(ys),
+        ys=sums,
+        slope_estimate=_endpoint_slope(int(sums[0]), final, len(sums)),
         slope_lsq=_lsq_slope(sums),
-        final_value=ys[-1],
+        final_value=final,
     )
 
 
@@ -151,7 +157,7 @@ def _ratio_series(name, mu, denominators, exact_limit):
     return SeriesReport(
         name=name,
         ys=ys,
-        slope_estimate=_endpoint_slope(ys),
+        slope_estimate=_endpoint_slope(ys[0], ys[-1], n),
         slope_lsq=_lsq_slope(ys),
         final_value=ys[-1],
     )
@@ -212,28 +218,22 @@ def magnitude_records(mu: MobiusVector, signed: bool = False) -> MagnitudeRecord
     """First indices reaching each magnitude 1..max.
 
     With signed=False the magnitude of mu(n) is |mu(n)|; with signed=True
-    it is mu(n) itself and only positive values count.
+    it is mu(n) itself and only positive values count.  The first index at
+    or above M is a binary search in the running maximum; the first index
+    equal to M takes one pass per magnitude.
     """
-    terms = mu.terms()
-    if not terms:
+    terms = mu.values[1:]
+    if not len(terms):
         raise ValueError("empty Mobius vector")
-    first_geq: dict[int, int] = {}
-    first_eq: dict[int, int] = {}
-    top = 0
-    for n, t in enumerate(terms, start=1):
-        v = t if signed else abs(t)
-        if v < 1:
-            continue
-        if v > top:
-            for m in range(top + 1, v + 1):
-                first_geq[m] = n
-            top = v
-        if v not in first_eq:
-            first_eq[v] = n
-    rows = tuple(
-        MagnitudeRecord(m, first_geq[m], first_eq.get(m)) for m in range(1, top + 1)
-    )
-    return MagnitudeRecordTable(signed=signed, rows=rows)
+    mags = terms if signed else np.abs(terms)
+    top = max(int(mags.max()), 0)
+    levels = np.arange(1, top + 1)
+    first_geq = np.searchsorted(np.maximum.accumulate(mags), levels) + 1
+    rows = []
+    for m, geq in zip(levels.tolist(), first_geq.tolist()):
+        at = int(np.argmax(mags == m))
+        rows.append(MagnitudeRecord(m, geq, at + 1 if mags[at] == m else None))
+    return MagnitudeRecordTable(signed=signed, rows=tuple(rows))
 
 
 def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction:
@@ -248,9 +248,10 @@ def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction
         tail_start = max(1, n // 10)
     if not 1 <= tail_start < n:
         raise ValueError(f"empty tail window: tail_start={tail_start}, N={n}")
-    return min(
-        Fraction(-mertens.ys[k - 1], k) for k in range(tail_start, n + 1)
-    )
+    tail = mertens.ys[tail_start - 1 :]
+    if isinstance(tail, np.ndarray):
+        tail = tail.tolist()
+    return min(Fraction(-y, k) for k, y in enumerate(tail, tail_start))
 
 
 # Segment length of the classical sieve; one int64 product array per segment.

@@ -4,6 +4,9 @@ A b-file is the OEIS flat format: one "index value" pair per line, ASCII
 decimal, indices contiguous and ascending.  Snapshots of the two submitted
 sequences ship with the package so comparisons work offline; fuller
 b-files downloaded from oeis.org can be passed in by path.
+
+decimal_rows is the one writer of integer arrays as text: the b-file here
+and the CLI's series CSV and JSON arrays all use it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 # Bundled snapshot names -> resource files (first 10 published terms each).
 BUNDLED_SNAPSHOTS = {
@@ -37,11 +42,97 @@ class BFile:
         return self.lines[-1][0]
 
 
+# Rows per block of decimal_rows: its temporaries hold a few bytes per
+# character of one block, whatever the length of the whole text.
+_BLOCK_ROWS = 1 << 16
+
+
+def _magnitudes(block):
+    """(uint64 |v|, v < 0) of a block of an integer column or of a range."""
+    if isinstance(block, range):
+        block = np.arange(block.start, block.stop, dtype=np.int64)
+    neg = block < 0
+    mag = block.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # two's complement: |v| of every int64
+    return mag, neg
+
+
+def _put_digits(mag, cells, kept) -> None:
+    """The decimal digits of mag, right-aligned in cells; kept drops leading zeros.
+
+    cells and kept have one row per digit position; mag is used up.
+    """
+    quot, rem = np.empty_like(mag), np.empty_like(mag)
+    for j in range(len(cells) - 1, -1, -1):
+        if j < len(cells) - 1:
+            np.greater(mag, 0, out=kept[j])
+        np.floor_divide(mag, 10, out=quot)
+        np.multiply(quot, 10, out=rem)
+        np.subtract(mag, rem, out=rem)
+        np.add(rem, ord("0"), out=cells[j], casting="unsafe")
+        mag, quot = quot, mag
+
+
+def _block_text(columns, sep: str, end: str) -> np.ndarray:
+    """ASCII bytes of one block of rows, given each column's _magnitudes.
+
+    Each row is laid out in fixed-width cells (per column a sign cell and
+    as many digit cells as its widest value needs, then sep or end); the
+    cells that are text are then taken in row-major order.
+    """
+    widths = [len(str(int(mag.max()))) for mag, _ in columns]
+    literals = [sep] * (len(columns) - 1) + [end]
+    width = sum(widths) + len(columns) + sum(map(len, literals))
+    chars = np.empty((len(columns[0][0]), width), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    cells, kept = chars.T, keep.T  # one row per cell position
+    at = 0
+    for (mag, neg), digits, literal in zip(columns, widths, literals):
+        cells[at] = ord("-")
+        kept[at] = neg
+        _put_digits(mag, cells[at + 1 : at + 1 + digits], kept[at + 1 : at + 1 + digits])
+        at += 1 + digits
+        cells[at : at + len(literal)] = np.frombuffer(literal.encode("ascii"), np.uint8)[:, None]
+        at += len(literal)
+    return chars[keep]
+
+
+def decimal_rows(columns, sep: str, end: str, joined: bool = False) -> str:
+    """Integer columns as ASCII text: per row, the decimals joined by sep, then end.
+
+    Each column is a 1-D integer ndarray or a range, all of one length.
+    With joined=True, end goes between the rows and not after the last.
+    The digits are computed with numpy, _BLOCK_ROWS rows at a time, on
+    uint64 magnitudes, so every int64 value, -2**63 included, is exact.
+    """
+    n = len(columns[0])
+    parts = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        text = _block_text([_magnitudes(col[lo:hi]) for col in columns], sep, end)
+        if joined and hi == n:
+            text = text[: len(text) - len(end)]
+        parts.append(str(text, "ascii"))
+    return "".join(parts)
+
+
 def format_bfile(terms, offset: int = 1) -> str:
-    """Render terms as b-file text: "n value\\n" per line, nothing else."""
-    terms = list(terms)
-    if not terms:
+    """Render terms as b-file text: "n value\\n" per line, nothing else.
+
+    An integer ndarray is written by decimal_rows.  Any other iterable must
+    hold Python ints, the only values that may exceed 64 bits.
+    """
+    is_array = isinstance(terms, np.ndarray)
+    if not is_array:
+        terms = list(terms)
+    if not len(terms):
         raise ValueError("refusing to format an empty series")
+    if is_array:
+        if terms.ndim != 1 or terms.dtype.kind not in "iu":
+            raise TypeError(
+                f"b-file values must be exact integers, got a {terms.dtype} array"
+            )
+        return decimal_rows([range(offset, offset + len(terms)), terms], " ", "\n")
     types = set(map(type, terms))
     if bool in types or not all(issubclass(tp, int) for tp in types):
         bad = next(t for t in terms if isinstance(t, bool) or not isinstance(t, int))
@@ -131,9 +222,10 @@ def oeis_diff(reference: BFile, terms, offset: int = 1) -> DiffReport:
     """Compare computed terms (term k has index offset+k) against a b-file.
 
     Reports the first disagreeing index, or confirms the full overlap.
-    An empty overlap is an error, not a vacuous match.
+    An empty overlap is an error, not a vacuous match.  An ndarray of terms
+    is compared as Python ints.
     """
-    terms = list(terms)
+    terms = terms.tolist() if isinstance(terms, np.ndarray) else list(terms)
     lo = max(reference.offset, offset)
     hi = min(reference.last_index, offset + len(terms) - 1)
     if hi < lo:

@@ -43,12 +43,6 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _decimal(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.12g}"
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return float(value)
@@ -58,17 +52,21 @@ def _jsonable(value):
 def _json_array(values) -> str:
     """Numbers as json.dumps(..., indent=2) writes a list one level deep.
 
-    repr is what json writes for an int and for a finite float.  A Fraction
-    is written as a float, as _jsonable does; a list of only Fractions and
-    floats (a ratio series) converts with map(float), which makes no
-    Python-level call per value.
+    An integer array or a range is written by bfile.decimal_rows.  For a
+    list, repr is what json writes for an int and for a finite float; a
+    Fraction is written as a float, as _jsonable does, and a list of only
+    Fractions and floats (a ratio series) converts with map(float), which
+    makes no Python-level call per value.
     """
-    types = set(map(type, values))
-    if types <= {Fraction, float}:
-        values = map(float, values)
-    elif not types <= {int, float}:
-        values = map(_jsonable, values)
-    body = ",\n    ".join(map(repr, values))
+    if isinstance(values, (np.ndarray, range)):
+        body = bfile.decimal_rows([values], "", ",\n    ", joined=True)
+    else:
+        types = set(map(type, values))
+        if types <= {Fraction, float}:
+            values = map(float, values)
+        elif not types <= {int, float}:
+            values = map(_jsonable, values)
+        body = ",\n    ".join(map(repr, values))
     return "[\n    " + body + "\n  ]" if body else "[]"
 
 
@@ -98,8 +96,15 @@ def _series_json(report: analysis.SeriesReport) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
 
 
+def _index_csv(values: np.ndarray) -> str:
+    """"n,value" rows of an integer array, n counting from 1."""
+    return bfile.decimal_rows([range(1, len(values) + 1), values], ",", "\n")
+
+
 def _series_csv(report: analysis.SeriesReport) -> str:
-    return "".join(f"{x},{_decimal(y)}\n" for x, y in enumerate(report.ys, 1))
+    if isinstance(report.ys, np.ndarray):
+        return _index_csv(report.ys)
+    return "".join(f"{x},{float(y):.12g}\n" for x, y in enumerate(report.ys, 1))
 
 
 def _records_csv(table: analysis.MagnitudeRecordTable) -> str:
@@ -129,11 +134,12 @@ _SERIES = {
 }
 # Ratio series hold fractions and floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
-# Integer terms arrive as their JSON payload, the terms under "values".
+# Integer terms arrive as their JSON payload, with the int64 or int8 array
+# of the terms under "values"; JSON gets them as a list of Python ints.
 _TERMS = {
     "bfile": lambda payload: bfile.format_bfile(payload["values"]),
-    "csv": lambda payload: "".join(f"{n},{v}\n" for n, v in enumerate(payload["values"], 1)),
-    "json": lambda payload: json.dumps(payload) + "\n",
+    "csv": lambda payload: _index_csv(payload["values"]),
+    "json": lambda payload: json.dumps({**payload, "values": payload["values"].tolist()}) + "\n",
 }
 _MATRIX = {
     "csv": lambda matrix: exports.matrix_to_csv(matrix),
@@ -163,7 +169,7 @@ def _matrix(args, which: str):
 
 def cmd_mobius(args) -> int:
     vec = _mobius_vector(args)
-    _write(_TERMS, "bfile", {"kind": vec.kind.value, "values": vec.terms()}, args)
+    _write(_TERMS, "bfile", {"kind": vec.kind.value, "values": vec.values[1:]}, args)
     return 0
 
 
@@ -240,7 +246,7 @@ def cmd_props(args) -> int:
 def cmd_classical(args) -> int:
     vec = analysis.classical_mobius(args.limit)
     if args.series == "mobius":
-        _write(_TERMS, "bfile", {"values": vec.terms()}, args)
+        _write(_TERMS, "bfile", {"values": vec.values[1:]}, args)
     else:
         _write(_SERIES, "bfile", analysis.classical_mertens(vec), args)
     return 0
@@ -292,7 +298,7 @@ def cmd_oeis_diff(args) -> int:
     n = args.limit or reference.last_index
     vec = mobius.mobius_one_var(DivisibilityPoset(_kind(args), n), n)
     if args.series == "mobius":
-        terms = vec.terms()
+        terms = vec.values[1:]
     else:
         terms = analysis.mertens_tri(vec).ys
     report = bfile.oeis_diff(reference, terms)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -44,11 +45,12 @@ def mu1000(tri_poset):
 class TestMertens:
     def test_first_ten(self):
         report = mertens_tri(_vec(MU_TRI_10))
-        assert report.ys == [1, 0, 0, -1, -1, -1, -2, -2, -2, -3]
+        assert report.ys.dtype == np.int64
+        assert report.ys.tolist() == [1, 0, 0, -1, -1, -1, -2, -2, -2, -3]
         assert report.final_value == -3
 
     def test_single_term(self):
-        assert mertens_tri(_vec([1])).ys == [1]
+        assert mertens_tri(_vec([1])).ys.tolist() == [1]
 
     def test_telescoping(self, mu1000):
         report = mertens_tri(mu1000)
@@ -81,9 +83,24 @@ class TestAbsSums:
 
 class TestInt64PartialSums:
     def test_plain_ints_and_slopes(self, mu1000):
-        for report in (mertens_tri(mu1000), abs_sums(mu1000)):
-            assert all(type(y) is int for y in report.ys)
-            assert report.slope_lsq == _float_list_lsq_slope(report.ys)
+        mertens = mertens_tri(mu1000)
+        for report in (mertens, abs_sums(mu1000)):
+            assert report.ys.dtype == np.int64
+            ys = report.ys.tolist()
+            assert type(report.final_value) is int and report.final_value == ys[-1]
+            slope = report.slope_estimate
+            assert type(slope.numerator) is int and type(slope.denominator) is int
+            assert report.slope_lsq == _float_list_lsq_slope(ys)
+        ys = mertens.ys.tolist()
+        assert mertens.slope_estimate == Fraction(ys[-1] - ys[0], len(ys) - 1)
+
+    def test_classical_sums_from_int8(self):
+        report = classical_mertens(classical_mobius(1000))
+        assert report.ys.dtype == np.int64
+        assert type(report.final_value) is int
+        assert report.ys.tolist() == list(
+            itertools.accumulate(classical_mobius(1000).terms())
+        )
 
     def test_overflow_raises_before_the_cumsum(self):
         for values in ([2**62, 2**62], [2**62, -(2**62)], [-(2**63)]):
@@ -107,6 +124,12 @@ class TestLsqSlope:
         fractions = [Fraction(1, 3), Fraction(-2**60, 7), Fraction(10**30 + 1, 10**12)]
         for ys in (big, fractions, big + fractions + [0.1, -7.25], list(range(40))):
             assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
+
+    def test_float_input_is_not_modified(self):
+        ys = np.array([3.0, -1.5, 2.25, 8.0])
+        before = ys.copy()
+        assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(before.tolist())
+        assert np.array_equal(ys, before)
 
     def test_classical_mertens_slope_from_the_int64_sums(self):
         report = classical_mertens(classical_mobius(10**5))
@@ -185,12 +208,47 @@ class TestMagnitudeRecords:
         firsts = [r.first_at_least for r in rows]
         assert firsts == sorted(firsts)
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_the_element_loop(self, signed, tri_poset_1e5):
+        rng = np.random.default_rng(8)
+        vectors = [
+            rng.integers(-6, 7, size=500),
+            # magnitudes 3 and 5 never occur, so first_equal is None there
+            rng.choice([-7, -6, -4, -2, -1, 0, 1, 2, 4, 6, 7], size=2000),
+            rng.integers(-40, 3, size=300),
+            np.zeros(10, dtype=np.int64),
+            np.array([-3, 0, 2, 9, 2, 9]),
+        ]
+        for terms in vectors:
+            vec = _vec(terms.tolist())
+            assert magnitude_records(vec, signed).rows == _loop_records(terms.tolist(), signed)
+        vec = mobius_one_var(tri_poset_1e5)
+        assert magnitude_records(vec, signed).rows == _loop_records(vec.terms(), signed)
+
     def test_lookup_helpers(self, mu_tri_10k):
         vec, _ = mu_tri_10k
         table = magnitude_records(vec)
         assert table.first_at_least(2) == 44
         assert table.first_equal(8) == 2079
         assert table.first_at_least(99) is None
+
+
+def _loop_records(terms, signed):
+    """The original per-element loop, kept as the reference."""
+    first_geq, first_eq, top = {}, {}, 0
+    for n, t in enumerate(terms, start=1):
+        v = t if signed else abs(t)
+        if v < 1:
+            continue
+        if v > top:
+            for m in range(top + 1, v + 1):
+                first_geq[m] = n
+            top = v
+        first_eq.setdefault(v, n)
+    return tuple(
+        analysis_module.MagnitudeRecord(m, first_geq[m], first_eq.get(m))
+        for m in range(1, top + 1)
+    )
 
 
 class TestEstimateC:
@@ -213,6 +271,7 @@ class TestEstimateC:
         # window starts past the last zero-touch of the sums (n = 345)
         c = estimate_C(mertens_tri(mu1000), 400)
         assert isinstance(c, Fraction)
+        assert type(c.numerator) is int and type(c.denominator) is int
         assert c > 0
 
     def test_min_over_window_catches_positive_excursion(self, mu1000):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from expected import MU_TRI_10
 from trimobius import DivisibilityPoset, SequenceKind, mobius_one_var, oeis_diff
+from trimobius import bfile as bfile_module
 from trimobius.bfile import (
     bundled_snapshot,
+    decimal_rows,
     export_bfile,
     format_bfile,
     load_bfile,
@@ -50,6 +52,65 @@ class TestFormat:
             pass
 
         assert format_bfile([7, Index(5), -(2**70)], offset=0) == f"0 7\n1 5\n2 {-(2**70)}\n"
+
+
+EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, 100, -100, 2**63 - 1, -(2**63), -(2**63) + 1]
+
+
+def _reference_rows(columns, sep, end, joined=False):
+    rows = [sep.join(map(str, row)) for row in zip(*columns)]
+    return end.join(rows) if joined else "".join(row + end for row in rows)
+
+
+class TestDecimalRows:
+    """decimal_rows against f-strings of the same Python ints."""
+
+    def _check(self, columns, sep, end, joined=False):
+        expected = _reference_rows([list(col) for col in columns], sep, end, joined)
+        assert decimal_rows(columns, sep, end, joined) == expected
+
+    @pytest.fixture(params=[1 << 16, 7], ids=["block-65536", "block-7"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(bfile_module, "_BLOCK_ROWS", request.param)
+
+    def test_edge_values(self, block):
+        values = np.array(EDGE_VALUES, dtype=np.int64)
+        for offset in (0, 1):
+            index = range(offset, offset + len(values))
+            self._check([index, values], " ", "\n")
+            self._check([index, values], ",", "\n")
+        self._check([values], "", ",\n    ", joined=True)
+        self._check([values[::-1], values], "|", ";")
+
+    def test_indices_cross_powers_of_ten(self, block):
+        rng = np.random.default_rng(3)
+        for lo, hi in ((1, 1200), (990, 1010), (99_995, 100_013), (10**12 - 3, 10**12 + 4)):
+            values = rng.integers(-10**6, 10**6, size=hi - lo)
+            self._check([range(lo, hi), values], " ", "\n")
+            self._check([range(lo, hi)], "", ",\n    ", joined=True)
+
+    def test_int8_columns(self, block):
+        values = np.array([-128, -100, -10, -9, -1, 0, 1, 9, 10, 99, 100, 127], dtype=np.int8)
+        self._check([range(1, 13), values], " ", "\n")
+        self._check([values], "", ",\n    ", joined=True)
+
+    def test_single_and_empty(self):
+        self._check([np.array([-7])], "", ",", joined=True)
+        assert decimal_rows([range(0)], "", ",", joined=True) == ""
+
+    def test_format_bfile_array_matches_the_list_path(self, block):
+        values = np.array(EDGE_VALUES, dtype=np.int64)
+        for offset in (0, 1, 5):
+            assert format_bfile(values, offset) == format_bfile(values.tolist(), offset)
+        small = values[:7].astype(np.int8)
+        assert format_bfile(small) == format_bfile(small.tolist())
+
+    def test_format_bfile_rejects_bool_and_float_arrays(self):
+        for bad in (np.array([True, False]), np.array([1.0, 2.0]), np.array([[1, 2]])):
+            with pytest.raises(TypeError, match="b-file values must be exact integers"):
+                format_bfile(bad)
+        with pytest.raises(ValueError):
+            format_bfile(np.array([], dtype=np.int64))
 
 
 class TestParse:
@@ -122,6 +183,13 @@ class TestOeisDiff:
         assert report.first_mismatch == 3
         assert report.expected == 5
         assert report.actual == 0
+
+    def test_array_terms_report_python_ints(self):
+        corrupted = parse_bfile("1 1\n2 0\n3 7\n")
+        report = oeis_diff(corrupted, np.cumsum(np.array(MU_TRI_10), dtype=np.int64))
+        assert (report.first_mismatch, report.expected, report.actual) == (3, 7, 0)
+        assert type(report.expected) is int and type(report.actual) is int
+        assert report.summary() == "mismatch at index 3: reference 7, computed 0"
 
     def test_partial_overlap(self):
         snap = bundled_snapshot("A350682")

@@ -113,12 +113,17 @@ class TestSeriesCommands:
         assert out.startswith("<svg") and out.endswith("</svg>\n")
 
 
+def _python_values(ys):
+    """An integer series' array as Python ints; a ratio series' list as is."""
+    return ys.tolist() if isinstance(ys, np.ndarray) else ys
+
+
 def _reference_payload(report):
     """The series payload that json.dumps(..., indent=2) used to write whole."""
     payload = {
         "name": report.name,
         "xs": list(range(1, len(report) + 1)),
-        "ys": [cli._jsonable(y) for y in report.ys],
+        "ys": [cli._jsonable(y) for y in _python_values(report.ys)],
         "slope_estimate": cli._jsonable(report.slope_estimate),
         "slope_lsq": report.slope_lsq,
         "final_value": cli._jsonable(report.final_value),
@@ -291,6 +296,13 @@ class TestOeisDiffCommand:
         code, out, _ = run(capsys, "oeis-diff", "--bfile", str(bad), "-n", "3")
         assert code == 1
         assert "mismatch at index 3" in out
+
+    def test_corrupted_sums_reference(self, capsys, tmp_path):
+        bad = tmp_path / "bad-sums.txt"
+        bad.write_text("1 1\n2 0\n3 0\n4 -5\n")
+        code, out, _ = run(capsys, "oeis-diff", "--series", "sums", "--bfile", str(bad))
+        assert code == 1
+        assert out == "mismatch at index 4: reference -5, computed -1\n"
 
     def test_identity_without_bfile_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oeis-diff", "--kind", "identity")

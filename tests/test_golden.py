@@ -5,7 +5,9 @@ N = 60 (props: --max-n 60) under every combination of its options that
 take choices, with the --format default as one more choice, and with and
 without each on/off flag.  A case without a pinned digest fails, so a new
 format or choice must come with its digest; USAGE_ERROR marks the cases
-that exit 2 with a one-line error.
+that exit 2 with a one-line error.  LARGE pins a few integer series at
+N well past 60, where every decimal width of the index column and the
+block boundaries of the decimal writer are crossed.
 """
 
 from __future__ import annotations
@@ -245,6 +247,32 @@ def test_stdout_digest(argv, capsys):
     else:
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]
+
+
+LARGE: dict[str, str] = {
+    "classical -n 200000 --series mertens --format bfile":
+        "0224532d5a7bfee9b7806f7bd9bc8a56f977b68d888e018ea18eacad80b7ec78",
+    "classical -n 200000 --series mertens --format csv":
+        "8a8a471eac53523f0b0ddf3ab7c84d52abed84b9a7e58b5377fb88c644155fa4",
+    "classical -n 200000 --series mertens --format json":
+        "ccd7a8c3e4abb2fddddb4a7c150f224fd8c67447e40bc68428623c96be8d91d2",
+    "sums -n 20000 --format json":
+        "601c8d530cbee2fdf7635291935983e22ac40705f5f4f3a3ce28f7abbe22cd7c",
+    "sums -n 20000 --format csv":
+        "250f26ff9166c0202761e260b9e9780b3bd9854e65b33ac4ffe9093888f17c0a",
+    "abs-sums -n 20000 --format json":
+        "9a93aeb7c76ea06d98f98ebfac19e5e16e44a41b60c3633671b4f6176e81d670",
+    "abs-sums -n 20000 --format csv":
+        "b1386dfd788d080c085d0927aa60e58e5741d676d642685cb369b44d78928381",
+}
+
+
+@pytest.mark.parametrize("command", LARGE)
+def test_large_stdout_digest(command, capsys):
+    code = main(command.split())
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE[command]
 
 
 def test_every_digest_has_a_case():
