@@ -1,9 +1,11 @@
 """Partial-sum series, magnitude records, and the classical Mobius baseline.
 
-Series over integer terms stay exact.  The two ratio series accumulate in
-exact rational arithmetic up to a configurable prefix (default 10,000) and
-switch to compensated floating summation beyond it, cross-checking the two
-paths where they overlap.
+Series over integer terms stay exact, in int64.  The two ratio series are
+float64 arrays: up to a configurable prefix (default 10,000) each entry is
+float() of the exact rational partial sum, which one running Fraction
+accumulates without storing; beyond it, Neumaier-compensated float sums,
+computed in numpy blocks bit-identically to the sequential loop.  The two
+paths are cross-checked where the prefix ends.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ class SeriesReport:
     """A named prefix-sum series with slope estimates.
 
     ys[k] is the partial sum through index k + 1.  An integer series holds
-    an int64 array; a ratio series a list of exact Fractions, then floats
-    (its tail).  final_value is a Python int, Fraction or float.
-    slope_estimate is the headline per-index slope; slope_lsq is an
-    ordinary least-squares slope kept alongside because the endpoint
-    formula is sensitive to both ends.
+    an int64 array; a ratio series a float64 array, whose exact prefix
+    survives only as final_value when N is within it.  final_value is a
+    Python int, Fraction or float.  slope_estimate is the headline
+    per-index slope; slope_lsq is an ordinary least-squares slope kept
+    alongside because the endpoint formula is sensitive to both ends.
     """
 
     name: str
-    ys: np.ndarray | list
+    ys: np.ndarray
     slope_estimate: Fraction | float
     slope_lsq: float
     final_value: Fraction | float | int
@@ -115,72 +117,121 @@ def abs_sums(mu: MobiusVector) -> SeriesReport:
     return replace(report, slope_estimate=Fraction(report.final_value, len(report)))
 
 
-def _ratio_series(name, mu, denominators, exact_limit):
-    """Shared builder for the two ratio series.
+# Terms per block of the compensated ratio sums: besides ys they hold one
+# block of float64 temporaries, whatever N.
+_RATIO_BLOCK = 1 << 16
 
-    Exact Fractions through min(N, exact_limit); Neumaier-compensated
-    floats beyond.  The float path runs from the start so the two can be
-    cross-checked where they overlap.
+# Every integer of magnitude up to 2**53 is exact in float64, so the float64
+# quotient of two of them is Python's correctly rounded t / d.
+_FLOAT_EXACT = 2**53
+
+
+def _values(kind: SequenceKind, k: np.ndarray) -> np.ndarray:
+    """value(k) for a uint64 array of indices, exact up to 2**64 - 1."""
+    if kind is SequenceKind.TRIANGULAR:
+        return ((k + 1) >> 1) * (k | 1)  # k(k+1)/2 as the product of its halves
+    return k
+
+
+def _quotients(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """t / d in float64, each equal to Python's t / d of the same integers.
+
+    A pair with a side past 2**53 is divided in Python.
     """
-    terms = mu.terms()
-    if not terms:
-        raise ValueError("empty Mobius vector")
-    n = len(terms)
-    ys: list = []
+    q = t / d
+    slow = np.flatnonzero((d > _FLOAT_EXACT) | (np.abs(t) > _FLOAT_EXACT))
+    if len(slow):
+        q[slow] = [a / b for a, b in zip(t[slow].tolist(), d[slow].tolist())]
+    return q
 
-    comp = 0.0  # Neumaier correction
-    fsum = 0.0
+
+def _compensated_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
+    """Neumaier-compensated running sums of terms[k] / value(k + 1), in float64.
+
+    Bit-identical to the sequential loop over the quotients q
+        add = fsum + q
+        comp += (fsum - add) + q if |fsum| >= |q| else (q - add) + fsum
+        fsum = add
+        ys[k] = fsum + comp
+    because np.cumsum adds in order, and a zero term adds exactly 0.0 to
+    both sums.  Runs _RATIO_BLOCK terms at a time, carrying fsum and comp.
+    """
+    n = len(terms)
+    ys = np.empty(n)
+    fsum = comp = 0.0
+    for lo in range(0, n, _RATIO_BLOCK):
+        hi = min(lo + _RATIO_BLOCK, n)
+        q = _quotients(terms[lo:hi], _values(kind, np.arange(lo + 1, hi + 1, dtype=np.uint64)))
+        s = q.copy()
+        s[0] += fsum
+        np.cumsum(s, out=s)
+        prev = np.concatenate(([fsum], s[:-1]))
+        big = np.abs(prev) >= np.abs(q)
+        err = np.where(big, prev, q) - s + np.where(big, q, prev)
+        err[0] += comp
+        np.cumsum(err, out=err)
+        np.add(s, err, out=ys[lo:hi])
+        fsum, comp = s[-1], err[-1]
+    return ys
+
+
+def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: int):
+    """Shared builder for the two ratio series, mu(k) / value(k) of the kind.
+
+    ys is float64.  Through min(N, exact_limit) it holds float() of the
+    exact partial sums, accumulated in one running Fraction that is not
+    stored; beyond, the compensated float sums.  The float path runs from
+    the start so the two are cross-checked at exact_limit.
+    """
+    terms = mu.values[1:]
+    n = len(terms)
+    if not n:
+        raise ValueError("empty Mobius vector")
+    ys = _compensated_sums(terms, kind)
+    head = terms[: max(0, min(n, exact_limit))]
+    nonzero = np.flatnonzero(head)
+    denominators = _values(kind, (nonzero + 1).astype(np.uint64))
     exact = Fraction(0)
-    for k in range(1, n + 1):
-        t = terms[k - 1]
-        if t:
-            term = t / denominators[k - 1]
-            add = fsum + term
-            if abs(fsum) >= abs(term):
-                comp += (fsum - add) + term
-            else:
-                comp += (term - add) + fsum
-            fsum = add
-        if k <= exact_limit:
-            if t:
-                exact = exact + Fraction(t, denominators[k - 1])
-            ys.append(exact)
-            if k == exact_limit and n > exact_limit:
-                drift = abs(float(exact) - (fsum + comp))
-                if drift > RATIO_CROSSCHECK_TOL:
-                    raise ArithmeticError(
-                        f"exact/compensated accumulation disagree by {drift:.3e} "
-                        f"at n={k}"
-                    )
-        else:
-            ys.append(fsum + comp)
+    steps = [0.0]  # float(exact) after each nonzero term
+    for t, d in zip(head[nonzero].tolist(), denominators.tolist()):
+        exact = exact + Fraction(t, d)
+        steps.append(float(exact))
+    if 0 < exact_limit < n:
+        drift = abs(float(exact) - float(ys[exact_limit - 1]))
+        if drift > RATIO_CROSSCHECK_TOL:
+            raise ArithmeticError(
+                f"exact/compensated accumulation disagree by {drift:.3e} "
+                f"at n={exact_limit}"
+            )
+    ys[: len(head)] = np.array(steps)[np.cumsum(head != 0)]
+    if n <= exact_limit:
+        final = exact
+        slope = _endpoint_slope(Fraction(int(terms[0])), exact, n)  # value(1) = 1
+    else:
+        final = float(ys[-1])
+        slope = _endpoint_slope(float(ys[0]), final, n)
     return SeriesReport(
         name=name,
         ys=ys,
-        slope_estimate=_endpoint_slope(ys[0], ys[-1], n),
+        slope_estimate=slope,
         slope_lsq=_lsq_slope(ys),
-        final_value=ys[-1],
+        final_value=final,
     )
 
 
 def ratio_sums_index(mu: MobiusVector, exact_limit: int = EXACT_RATIO_LIMIT) -> SeriesReport:
     """Partial sums of mu(n)/n."""
-    denominators = list(range(1, len(mu) + 1))
-    return _ratio_series("mobius_over_index_partial_sums", mu, denominators, exact_limit)
+    return _ratio_series(
+        "mobius_over_index_partial_sums", mu, SequenceKind.IDENTITY, exact_limit
+    )
 
 
 def ratio_sums_triangular(
     mu: MobiusVector, exact_limit: int = EXACT_RATIO_LIMIT
 ) -> SeriesReport:
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
-    n = len(mu)
-    sequence_value(mu.kind, max(n, 1))  # the 64-bit range check, once
-    k = np.arange(1, n + 1, dtype=np.uint64)
-    if mu.kind is SequenceKind.TRIANGULAR:
-        # k(k+1)/2 as the product of its halves, exact up to 2**64-1
-        k = ((k + 1) >> 1) * (k | 1)
-    denominators = k.tolist()
-    return _ratio_series("mobius_over_value_partial_sums", mu, denominators, exact_limit)
+    sequence_value(mu.kind, max(len(mu), 1))  # the 64-bit range check, once
+    return _ratio_series("mobius_over_value_partial_sums", mu, mu.kind, exact_limit)
 
 
 @dataclass(frozen=True)
@@ -242,16 +293,22 @@ def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction
     A positive return means the partial sums stayed at or below a straight
     line of that slope over the whole tail window.  tail_start defaults to
     N/10: the early sums are transient and would dominate the minimum.
+
+    Each float64 quotient ys[n] / n is within a relative 2**-51.9 of the
+    exact one (two roundings), so the exact minimum lies among the n whose
+    quotient is within 2**-50 of the largest |quotient| below the float
+    maximum; only those are compared as Fractions.
     """
     n = len(mertens)
     if tail_start is None:
         tail_start = max(1, n // 10)
     if not 1 <= tail_start < n:
         raise ValueError(f"empty tail window: tail_start={tail_start}, N={n}")
-    tail = mertens.ys[tail_start - 1 :]
-    if isinstance(tail, np.ndarray):
-        tail = tail.tolist()
-    return min(Fraction(-y, k) for k, y in enumerate(tail, tail_start))
+    tail = np.asarray(mertens.ys[tail_start - 1 :])
+    ratio = tail / np.arange(tail_start, n + 1, dtype=np.float64)
+    near = np.flatnonzero(ratio >= ratio.max() - np.abs(ratio).max() * 2**-50)
+    ks, ys = (near + tail_start).tolist(), tail[near].tolist()
+    return min(Fraction(-y, k) for k, y in zip(ks, ys))
 
 
 # Segment length of the classical sieve; one int64 product array per segment.

@@ -5,8 +5,8 @@ decimal, indices contiguous and ascending.  Snapshots of the two submitted
 sequences ship with the package so comparisons work offline; fuller
 b-files downloaded from oeis.org can be passed in by path.
 
-decimal_rows is the one writer of integer arrays as text: the b-file here
-and the CLI's series CSV and JSON arrays all use it.
+decimal_blocks is the one writer of integer arrays as text: the b-file here
+(through decimal_rows) and the CLI's series CSV and JSON arrays all use it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class BFile:
         return self.lines[-1][0]
 
 
-# Rows per block of decimal_rows: its temporaries hold a few bytes per
+# Rows per block of decimal_blocks: its temporaries hold a few bytes per
 # character of one block, whatever the length of the whole text.
 _BLOCK_ROWS = 1 << 16
 
@@ -97,23 +97,27 @@ def _block_text(columns, sep: str, end: str) -> np.ndarray:
     return chars[keep]
 
 
-def decimal_rows(columns, sep: str, end: str, joined: bool = False) -> str:
-    """Integer columns as ASCII text: per row, the decimals joined by sep, then end.
+def decimal_blocks(columns, sep: str, end: str, joined: bool = False):
+    """Integer columns as ASCII text, one str per _BLOCK_ROWS rows.
 
-    Each column is a 1-D integer ndarray or a range, all of one length.
-    With joined=True, end goes between the rows and not after the last.
-    The digits are computed with numpy, _BLOCK_ROWS rows at a time, on
-    uint64 magnitudes, so every int64 value, -2**63 included, is exact.
+    Per row, the decimals joined by sep, then end.  Each column is a 1-D
+    integer ndarray or a range, all of one length.  With joined=True, end
+    goes between the rows and not after the last.  The digits are computed
+    with numpy on uint64 magnitudes, so every int64 value, -2**63
+    included, is exact.
     """
     n = len(columns[0])
-    parts = []
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         text = _block_text([_magnitudes(col[lo:hi]) for col in columns], sep, end)
         if joined and hi == n:
             text = text[: len(text) - len(end)]
-        parts.append(str(text, "ascii"))
-    return "".join(parts)
+        yield str(text, "ascii")
+
+
+def decimal_rows(columns, sep: str, end: str, joined: bool = False) -> str:
+    """The text of decimal_blocks as one str."""
+    return "".join(decimal_blocks(columns, sep, end, joined))
 
 
 def format_bfile(terms, offset: int = 1) -> str:

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -36,11 +35,13 @@ def _kind(args) -> SequenceKind:
     return SequenceKind(args.kind)
 
 
-def _emit(text: str, out) -> None:
+def _emit(pieces, out) -> None:
+    """Write an iterable of text pieces, in order, to the file out or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _jsonable(value):
@@ -49,31 +50,36 @@ def _jsonable(value):
     return value
 
 
-def _json_array(values) -> str:
-    """Numbers as json.dumps(..., indent=2) writes a list one level deep.
+# Rows per piece of the float writers: .tolist() and the per-row strings
+# take ~100 bytes of Python objects per row, so a piece stays near 0.4 MB.
+_PIECE_ROWS = 1 << 12
 
-    An integer array or a range is written by bfile.decimal_rows.  For a
-    list, repr is what json writes for an int and for a finite float; a
-    Fraction is written as a float, as _jsonable does, and a list of only
-    Fractions and floats (a ratio series) converts with map(float), which
-    makes no Python-level call per value.
+
+def _json_array(values: np.ndarray | range):
+    """Numbers as json.dumps(..., indent=2) writes a list one level deep, in pieces.
+
+    An integer array or a range is written by bfile.decimal_blocks; a
+    float64 array by repr, which is what json writes for a finite float,
+    over .tolist() (repr of an np.float64 is not its number).
     """
-    if isinstance(values, (np.ndarray, range)):
-        body = bfile.decimal_rows([values], "", ",\n    ", joined=True)
+    if not len(values):
+        yield "[]"
+        return
+    yield "[\n    "
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        for lo in range(0, len(values), _PIECE_ROWS):
+            rows = ",\n    ".join(map(repr, values[lo : lo + _PIECE_ROWS].tolist()))
+            yield rows if lo == 0 else ",\n    " + rows
     else:
-        types = set(map(type, values))
-        if types <= {Fraction, float}:
-            values = map(float, values)
-        elif not types <= {int, float}:
-            values = map(_jsonable, values)
-        body = ",\n    ".join(map(repr, values))
-    return "[\n    " + body + "\n  ]" if body else "[]"
+        yield from bfile.decimal_blocks([values], "", ",\n    ", joined=True)
+    yield "\n  ]"
 
 
-def _series_json(report: analysis.SeriesReport) -> str:
-    """The series as json.dumps(..., indent=2) writes it, with xs and ys in bulk.
+def _series_json(report: analysis.SeriesReport):
+    """The series as json.dumps(..., indent=2) writes it, plus a newline, in pieces.
 
-    The scalar fields still go through json.
+    One piece per field, and xs and ys a block at a time; the scalar
+    fields still go through json.
     """
     n = len(report)
     scalars = {
@@ -87,63 +93,70 @@ def _series_json(report: analysis.SeriesReport) -> str:
         scalars["drift_last_half"] = abs(
             float(report.ys[-1]) - float(report.ys[n // 2 - 1])
         )
-    fields = [
-        ("name", json.dumps(report.name)),
-        ("xs", _json_array(range(1, n + 1))),
-        ("ys", _json_array(report.ys)),
-        *((key, json.dumps(value)) for key, value in scalars.items()),
-    ]
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}"
+    yield '{\n  "name": ' + json.dumps(report.name) + ',\n  "xs": '
+    yield from _json_array(range(1, n + 1))
+    yield ',\n  "ys": '
+    yield from _json_array(report.ys)
+    for key, value in scalars.items():
+        yield f',\n  "{key}": {json.dumps(value)}'
+    yield "\n}\n"
 
 
-def _index_csv(values: np.ndarray) -> str:
-    """"n,value" rows of an integer array, n counting from 1."""
-    return bfile.decimal_rows([range(1, len(values) + 1), values], ",", "\n")
+def _index_csv(values: np.ndarray):
+    """"n,value" rows of an integer array, n counting from 1, in pieces."""
+    return bfile.decimal_blocks([range(1, len(values) + 1), values], ",", "\n")
 
 
-def _series_csv(report: analysis.SeriesReport) -> str:
-    if isinstance(report.ys, np.ndarray):
+def _series_csv(report: analysis.SeriesReport):
+    if report.ys.dtype.kind != "f":
         return _index_csv(report.ys)
-    return "".join(f"{x},{float(y):.12g}\n" for x, y in enumerate(report.ys, 1))
+    return (
+        "".join(map("{},{:.12g}\n".format, range(lo + 1, lo + _PIECE_ROWS + 1),
+                    report.ys[lo : lo + _PIECE_ROWS].tolist()))
+        for lo in range(0, len(report), _PIECE_ROWS)
+    )
 
 
-def _records_csv(table: analysis.MagnitudeRecordTable) -> str:
+def _records_csv(table: analysis.MagnitudeRecordTable) -> list[str]:
     lines = ["magnitude,first_geq,first_eq\n"]
     for row in table.rows:
         eq = "" if row.first_equal is None else str(row.first_equal)
         lines.append(f"{row.magnitude},{row.first_at_least},{eq}\n")
-    return "".join(lines)
+    return lines
 
 
-def _records_json(table: analysis.MagnitudeRecordTable) -> str:
+def _records_json(table: analysis.MagnitudeRecordTable) -> list[str]:
     rows = [
         {"magnitude": r.magnitude, "first_geq": r.first_at_least, "first_eq": r.first_equal}
         for r in table.rows
     ]
-    return json.dumps({"signed": table.signed, "rows": rows}, indent=2) + "\n"
+    return [json.dumps({"signed": table.signed, "rows": rows}, indent=2) + "\n"]
 
 
-# One table per output shape: --format -> writer of the value's text.  The
-# writers look serializers up when called, so a wrapper installed on the
-# module attribute (as the benchmark's tracer does) still sees each call.
+# One table per output shape: --format -> writer of the value's text, as an
+# iterable of pieces that _emit writes in order.  The writers look
+# serializers up when called, so a wrapper installed on the module
+# attribute (as the benchmark's tracer does) still sees each call.
 _SERIES = {
-    "bfile": lambda report: bfile.format_bfile(report.ys),
+    "bfile": lambda report: [bfile.format_bfile(report.ys)],
     "csv": _series_csv,
-    "json": lambda report: _series_json(report) + "\n",
-    "svg": lambda report: svg.svg_line_chart(report),
+    "json": _series_json,
+    "svg": lambda report: [svg.svg_line_chart(report)],
 }
-# Ratio series hold fractions and floats, which a b-file cannot.
+# Ratio series hold floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
 # Integer terms arrive as their JSON payload, with the int64 or int8 array
 # of the terms under "values"; JSON gets them as a list of Python ints.
 _TERMS = {
-    "bfile": lambda payload: bfile.format_bfile(payload["values"]),
+    "bfile": lambda payload: [bfile.format_bfile(payload["values"])],
     "csv": lambda payload: _index_csv(payload["values"]),
-    "json": lambda payload: json.dumps({**payload, "values": payload["values"].tolist()}) + "\n",
+    "json": lambda payload: [
+        json.dumps({**payload, "values": payload["values"].tolist()}) + "\n"
+    ],
 }
 _MATRIX = {
-    "csv": lambda matrix: exports.matrix_to_csv(matrix),
-    "json": lambda matrix: json.dumps({"n": matrix.n, "rows": matrix.array.tolist()}) + "\n",
+    "csv": lambda matrix: [exports.matrix_to_csv(matrix)],
+    "json": lambda matrix: [json.dumps({"n": matrix.n, "rows": matrix.array.tolist()}) + "\n"],
 }
 _RECORDS = {"csv": _records_csv, "json": _records_json}
 
@@ -205,13 +218,13 @@ def cmd_mobius_matrix(args) -> int:
 
 def cmd_hasse(args) -> int:
     poset = DivisibilityPoset(_kind(args), args.limit)
-    _emit(exports.hasse_to_dot(poset.hasse_edges(args.limit)), args.out)
+    _emit([exports.hasse_to_dot(poset.hasse_edges(args.limit))], args.out)
     return 0
 
 
 def cmd_heatmap(args) -> int:
     title = f"{args.matrix} matrix heatmap ({args.kind}, n={args.limit})"
-    _emit(svg.svg_heatmap(_matrix(args, args.matrix), title), args.out)
+    _emit([svg.svg_heatmap(_matrix(args, args.matrix), title)], args.out)
     return 0
 
 
@@ -239,7 +252,7 @@ def cmd_props(args) -> int:
         lines.append(
             f"prop2 OK: T(n) | T(T(n)) exactly when n = 1, 2 (mod 4), n <= {scan.max_n}\n"
         )
-    _emit("".join(lines), args.out)
+    _emit(lines, args.out)
     return 0 if scan.ok else 1
 
 

@@ -17,6 +17,9 @@ from .poset import I64_MAX, DivisibilityPoset, SequenceKind
 # Largest n for which a dense n x n matrix is ever materialized.
 DENSE_CAP = 1000
 
+# Most predecessor entries gathered at once by the recursion.
+_GATHER_CAP = 1 << 20
+
 
 def _guard_magnitude(value: int) -> int:
     """Abort loudly instead of letting a value leave the signed 64-bit range."""
@@ -71,10 +74,12 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
     mu(1, 1) = 1 and, for k >= 2, mu(1, k) is minus the sum of mu(1, d)
     over all strict predecessors d of k.  The values are computed in
     geometric blocks lo..hi (see _block_end) whose predecessors all lie
-    below lo and are final, so each block is one gather and one
-    np.add.reduceat over its rows of the table; every row k >= 2 holds 1,
-    so none is empty.  Before each block, the largest |mu| so far times
-    its longest row must fit in int64, or OverflowError is raised.
+    below lo and are final, so a block's rows can be summed in any grouping:
+    runs of rows holding at most _GATHER_CAP entries (or a single row),
+    each one gather and one np.add.reduceat over the table; every row
+    k >= 2 holds 1, so none is empty.  Before each block, the largest |mu|
+    so far times its longest row must fit in int64, or OverflowError is
+    raised.
     """
     if n is None:
         n = poset.max_index
@@ -93,8 +98,17 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
                 f"Mobius sums at n = {lo}..{hi} may reach {bound}, "
                 "beyond the signed 64-bit range"
             )
-        gathered = mu[indices[starts[0] : starts[-1]]]
-        np.negative(np.add.reduceat(gathered, starts[:-1] - starts[0]), out=mu[lo : hi + 1])
+        row = 0
+        while row <= hi - lo:
+            # rows row..end - 1: at most _GATHER_CAP entries, or one row
+            end = int(np.searchsorted(starts, starts[row] + _GATHER_CAP, "right")) - 1
+            end = max(end, row + 1)
+            run = starts[row : end + 1]
+            gathered = mu[indices[run[0] : run[-1]]]
+            np.negative(
+                np.add.reduceat(gathered, run[:-1] - run[0]), out=mu[lo + row : lo + end]
+            )
+            row = end
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
         lo = hi + 1
     return MobiusVector(kind=poset.kind, values=mu)

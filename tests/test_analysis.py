@@ -19,6 +19,7 @@ from trimobius import (
     DivisibilityPoset,
     MobiusVector,
     SequenceKind,
+    SeriesReport,
     abs_sums,
     classical_mertens,
     classical_mobius,
@@ -136,21 +137,44 @@ class TestLsqSlope:
         assert report.slope_lsq == _float_list_lsq_slope(report.ys)
 
 
+def _running_fractions(terms, denominators):
+    """float() of each exact partial sum of terms[k] / denominators[k]."""
+    total, out = Fraction(0), []
+    for t, d in zip(terms, denominators):
+        total += Fraction(t, d)
+        out.append(float(total))
+    return out
+
+
 class TestRatioSums:
     def test_tiny_prefixes(self):
-        assert ratio_sums_index(_vec([1])).ys == [Fraction(1)]
-        assert ratio_sums_index(_vec([1, -1])).ys[-1] == Fraction(1, 2)
-        assert ratio_sums_triangular(_vec([1, -1])).ys[-1] == Fraction(2, 3)
+        one = ratio_sums_index(_vec([1]))
+        assert one.ys.dtype == np.float64 and one.ys.tolist() == [1.0]
+        assert type(one.final_value) is Fraction and one.final_value == 1
+        assert one.slope_estimate == 0
+        two = ratio_sums_index(_vec([1, -1]))
+        assert two.ys.tolist() == [1.0, 0.5] and two.final_value == Fraction(1, 2)
+        assert two.slope_estimate == Fraction(-1, 2)
+        tri = ratio_sums_triangular(_vec([1, -1]))
+        assert tri.ys.tolist() == [1.0, 2 / 3] and tri.final_value == Fraction(2, 3)
+        assert tri.slope_estimate == Fraction(-1, 3)
 
     def test_exact_prefix_is_rational(self, mu1000):
         report = ratio_sums_index(mu1000)
-        assert all(isinstance(y, Fraction) for y in report.ys)
+        exact = sum(Fraction(t, n) for n, t in enumerate(mu1000.terms(), 1))
+        assert report.ys.dtype == np.float64
+        assert report.ys.tolist() == _running_fractions(mu1000.terms(), range(1, 1001))
+        assert type(report.final_value) is Fraction and report.final_value == exact
+        assert type(report.slope_estimate) is Fraction
+        assert report.slope_estimate == (exact - 1) / 999
 
     def test_telescoping(self, mu1000):
-        report = ratio_sums_index(mu1000)
-        for n in range(2, 1001):
-            diff = report.ys[n - 1] - report.ys[n - 2]
-            assert diff == Fraction(mu1000.value(n), n)
+        # the exact sums through n - 1 and through n differ by mu(n)/n
+        terms = mu1000.terms()
+        for n in range(2, 1001, 3):
+            before = ratio_sums_index(_vec(terms[: n - 1])).final_value
+            after = ratio_sums_index(_vec(terms[:n])).final_value
+            assert after - before == Fraction(mu1000.value(n), n), n
 
     def test_exact_vs_compensated(self, mu_tri_10k):
         vec, _ = mu_tri_10k
@@ -165,8 +189,12 @@ class TestRatioSums:
 
     def test_float_tail_beyond_exact_limit(self, mu1000):
         report = ratio_sums_index(mu1000, exact_limit=100)
-        assert isinstance(report.ys[99], Fraction)
-        assert isinstance(report.ys[100], float)
+        terms = mu1000.terms()
+        assert report.ys[:100].tolist() == _running_fractions(terms[:100], range(1, 101))
+        assert _bits(report.ys) == _bits(_loop_ratio_series(terms, range(1, 1001), 100)[0])
+        assert type(report.final_value) is float and report.final_value == report.ys[-1]
+        assert type(report.slope_estimate) is float
+        assert report.slope_estimate == (report.ys[-1] - 1.0) / 999
         # the tail must continue the exact prefix smoothly
         exact = ratio_sums_index(mu1000).final_value
         assert abs(float(exact) - report.ys[-1]) < 1e-9
@@ -175,7 +203,122 @@ class TestRatioSums:
         # identity kind: value(n) == n, so both ratio series coincide
         poset = DivisibilityPoset(SequenceKind.IDENTITY, 50)
         vec = mobius_one_var(poset, 50)
-        assert ratio_sums_index(vec).ys == ratio_sums_triangular(vec).ys
+        index, value = ratio_sums_index(vec), ratio_sums_triangular(vec)
+        assert _bits(index.ys) == _bits(value.ys)
+        assert index.final_value == value.final_value
+        assert index.slope_estimate == value.slope_estimate
+
+    def test_crosscheck_failure_is_reported(self, mu1000, monkeypatch):
+        monkeypatch.setattr(analysis_module, "RATIO_CROSSCHECK_TOL", -1.0)
+        with pytest.raises(ArithmeticError, match=r"disagree by \d\.\d{3}e[-+]\d+ at n=100$"):
+            ratio_sums_index(mu1000, exact_limit=100)
+        ratio_sums_index(mu1000, exact_limit=1000)  # no overlap, no check
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _loop_ratio_series(terms, denominators, exact_limit):
+    """The original per-element builder, kept as the reference for the arrays.
+
+    Returns (ys as floats, slope_estimate, final_value) as it reported them:
+    exact Fractions through min(N, exact_limit), Neumaier floats beyond.
+    """
+    n = len(terms)
+    ys = []
+    comp = fsum = 0.0
+    exact = Fraction(0)
+    for k, (t, d) in enumerate(zip(terms, denominators), 1):
+        if t:
+            term = t / d
+            add = fsum + term
+            if abs(fsum) >= abs(term):
+                comp += (fsum - add) + term
+            else:
+                comp += (term - add) + fsum
+            fsum = add
+        if k <= exact_limit:
+            if t:
+                exact = exact + Fraction(t, d)
+            ys.append(exact)
+        else:
+            ys.append(fsum + comp)
+    if n < 2:
+        slope = Fraction(0)
+    else:
+        dy = ys[-1] - ys[0]
+        slope = Fraction(dy, n - 1) if isinstance(dy, Fraction) else dy / (n - 1)
+    return [float(y) for y in ys], slope, ys[-1]
+
+
+def _assert_matches_loop(report, terms, denominators, exact_limit):
+    ys, slope, final = _loop_ratio_series(terms, denominators, exact_limit)
+    assert report.ys.dtype == np.float64 and _bits(report.ys) == _bits(ys)
+    assert type(report.final_value) is type(final) and report.final_value == final
+    assert type(report.slope_estimate) is type(slope) and report.slope_estimate == slope
+    assert report.slope_lsq == (_float_list_lsq_slope(ys) if len(ys) > 1 else 0.0)
+    head = min(len(terms), exact_limit)
+    assert report.ys[:head].tolist() == _running_fractions(terms[:head], denominators[:head])
+
+
+def _random_mu(seed, n, kind=TRI, top=30):
+    """Seeded Mobius-like terms: mostly zero, mu(1) = 1, magnitudes up to top."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-top, top + 1, n + 1) * (rng.random(n + 1) < 0.45)
+    values[:2] = 0, 1
+    return MobiusVector(kind=kind, values=values.astype(np.int64))
+
+
+class TestRatioArrays:
+    """The array builder against the original loop, bit for bit."""
+
+    @pytest.mark.parametrize("exact_limit", [0, 100, 10_000])
+    @pytest.mark.parametrize("n", [1, 2, 99, 101, 9_999, 70_000])
+    def test_random_mu(self, n, exact_limit):
+        vec = _random_mu(n, n)
+        values = [k * (k + 1) // 2 for k in range(1, n + 1)]
+        _assert_matches_loop(ratio_sums_index(vec, exact_limit), vec.terms(),
+                             range(1, n + 1), exact_limit)
+        _assert_matches_loop(ratio_sums_triangular(vec, exact_limit), vec.terms(),
+                             values, exact_limit)
+
+    @pytest.mark.parametrize("exact_limit", [0, 5, 100, 10_000])
+    def test_blocks_of_seven(self, exact_limit, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_RATIO_BLOCK", 7)
+        for seed, n in ((1, 1), (2, 7), (3, 8), (4, 2000)):
+            vec = _random_mu(seed, n)
+            values = [k * (k + 1) // 2 for k in range(1, n + 1)]
+            _assert_matches_loop(ratio_sums_index(vec, exact_limit), vec.terms(),
+                                 range(1, n + 1), exact_limit)
+            _assert_matches_loop(ratio_sums_triangular(vec, exact_limit), vec.terms(),
+                                 values, exact_limit)
+
+    def test_classical_mu_1e6(self):
+        vec = classical_mobius(10**6)
+        report = ratio_sums_index(vec)
+        _assert_matches_loop(report, vec.terms(), range(1, 10**6 + 1), 10_000)
+        assert _bits(ratio_sums_triangular(vec).ys) == _bits(report.ys)
+
+    def test_quotients_equal_python_division(self):
+        # float64(2**53 + 1) rounds to 2**53, so numpy alone would be off here
+        t = np.array([2**53 + 1, -(2**62) - 1, 1, 7, -3, 0], dtype=np.int64)
+        d = np.array([3, 5, 2**53 + 1, 2**64 - 1, 2**60 + 3, 9], dtype=np.uint64)
+        q = analysis_module._quotients(t, d)
+        assert q.tolist() == [a / b for a, b in zip(t.tolist(), d.tolist())]
+        assert q[0] != np.float64(2**53 + 1) / 3
+
+    def test_quotients_past_the_float_exact_limit(self, monkeypatch):
+        # below the constant float64 division is exact; above it (here
+        # value(k) > 1000, or |mu| > 1000) the quotient is divided in Python
+        vec = _random_mu(9, 3000, top=5000)
+        expected = [ratio_sums_index(vec, 100), ratio_sums_triangular(vec, 100)]
+        monkeypatch.setattr(analysis_module, "_FLOAT_EXACT", 1000)
+        got = [ratio_sums_index(vec, 100), ratio_sums_triangular(vec, 100)]
+        for old, new in zip(expected, got):
+            assert _bits(new.ys) == _bits(old.ys) and new.final_value == old.final_value
+        values = [k * (k + 1) // 2 for k in range(1, 3001)]
+        _assert_matches_loop(got[1], vec.terms(), values, 100)
 
 
 class TestMagnitudeRecords:
@@ -281,6 +424,30 @@ class TestEstimateC:
     def test_default_window_is_last_nine_tenths(self, mu1000):
         report = mertens_tri(mu1000)
         assert estimate_C(report) == estimate_C(report, 100)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_fraction_minimum(self, seed):
+        # exact ties (noise 0 on a line), near-ties a float cannot tell apart
+        # (|y| past 2**53, and floor(slope * k - r / 1000)), and random walks
+        rng = np.random.default_rng(seed)
+        n = 3000
+        k = np.arange(1, n + 1, dtype=np.int64)
+        slope = int(rng.choice([3, -5, 2**50 + 12345, -(2**51) - 7]))
+        noise = rng.integers(-1, 2, n) * (rng.random(n) < 0.3)
+        rest = rng.integers(0, 1000, n).tolist()
+        floored = [(slope * 1000 * j - r) // 1000 for j, r in zip(k.tolist(), rest)]
+        walk = np.cumsum(rng.integers(-1, 2, n))
+        for ys in (slope * k, slope * k + noise, np.array(floored), walk, walk * 2**45):
+            report = SeriesReport("s", ys, Fraction(0), 0.0, 0)
+            for tail_start in (1, 7, n // 10, n - 1):
+                c = estimate_C(report, tail_start)
+                assert c == _fraction_minimum(ys.tolist(), tail_start)
+                assert type(c.numerator) is int and type(c.denominator) is int
+
+
+def _fraction_minimum(ys, tail_start):
+    """The original estimate: one Fraction per index of the window."""
+    return min(Fraction(-y, k) for k, y in enumerate(ys[tail_start - 1 :], tail_start))
 
 
 def _all_primes_sieve(n):

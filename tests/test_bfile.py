@@ -10,6 +10,7 @@ from trimobius import DivisibilityPoset, SequenceKind, mobius_one_var, oeis_diff
 from trimobius import bfile as bfile_module
 from trimobius.bfile import (
     bundled_snapshot,
+    decimal_blocks,
     decimal_rows,
     export_bfile,
     format_bfile,
@@ -93,6 +94,13 @@ class TestDecimalRows:
         values = np.array([-128, -100, -10, -9, -1, 0, 1, 9, 10, 99, 100, 127], dtype=np.int8)
         self._check([range(1, 13), values], " ", "\n")
         self._check([values], "", ",\n    ", joined=True)
+
+    def test_one_piece_per_block(self, monkeypatch):
+        monkeypatch.setattr(bfile_module, "_BLOCK_ROWS", 7)
+        columns = [range(1, 21), np.arange(-10, 10)]
+        pieces = list(decimal_blocks(columns, ",", "\n"))
+        assert [piece.count("\n") for piece in pieces] == [7, 7, 6]
+        assert "".join(pieces) == _reference_rows([list(col) for col in columns], ",", "\n")
 
     def test_single_and_empty(self):
         self._check([np.array([-7])], "", ",", joined=True)

@@ -113,17 +113,12 @@ class TestSeriesCommands:
         assert out.startswith("<svg") and out.endswith("</svg>\n")
 
 
-def _python_values(ys):
-    """An integer series' array as Python ints; a ratio series' list as is."""
-    return ys.tolist() if isinstance(ys, np.ndarray) else ys
-
-
 def _reference_payload(report):
     """The series payload that json.dumps(..., indent=2) used to write whole."""
     payload = {
         "name": report.name,
         "xs": list(range(1, len(report) + 1)),
-        "ys": [cli._jsonable(y) for y in _python_values(report.ys)],
+        "ys": report.ys.tolist(),
         "slope_estimate": cli._jsonable(report.slope_estimate),
         "slope_lsq": report.slope_lsq,
         "final_value": cli._jsonable(report.final_value),
@@ -142,17 +137,28 @@ class TestSeriesJson:
         return mobius_one_var(tri_poset, 2000)
 
     def _check(self, report):
-        assert cli._series_json(report) == json.dumps(_reference_payload(report), indent=2)
+        pieces = list(cli._series_json(report))
+        assert all(type(piece) is str for piece in pieces)
+        assert "".join(pieces) == json.dumps(_reference_payload(report), indent=2) + "\n"
 
     def test_integer_series(self, mu):
         self._check(mertens_tri(mu))
         self._check(abs_sums(mu))
 
-    def test_fraction_then_float_series(self, mu):
+    def test_fraction_then_float_series(self, mu, monkeypatch):
+        # float() of the exact sums through exact_limit, compensated floats after
         for report in (ratio_sums_index(mu, exact_limit=700),
                        ratio_sums_triangular(mu, exact_limit=1500)):
-            assert isinstance(report.ys[0], Fraction) and isinstance(report.ys[-1], float)
+            assert report.ys.dtype == np.float64
+            assert isinstance(report.slope_estimate, float)
             self._check(report)
+        exact = ratio_sums_index(mu, exact_limit=2000)
+        assert isinstance(exact.final_value, Fraction)
+        self._check(exact)
+        # pieces of 7 rows: the separators between blocks
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 7)
+        self._check(exact)
+        assert len(list(cli._series_json(exact))) > 2000 // 7
 
     def test_one_element_series(self):
         one = MobiusVector(kind=SequenceKind.TRIANGULAR, values=np.array([0, 1]))
@@ -161,11 +167,30 @@ class TestSeriesJson:
             self._check(report)
 
     def test_hand_built_series(self):
-        mixed = [2**70 + 1, -(2**53) - 1, Fraction(-1, 3), 0.1, -0.0, 1e-300, 5e22]
-        for ys in (mixed, [0.5, -1e-7, 3.0], [Fraction(1, 3), Fraction(-7, 2)], []):
+        floats = np.array([-(2.0**53) - 2, 1 / 3, 0.1, -0.0, 1e-300, 5e22, -7.5])
+        ints = np.array([2**62 + 1, -(2**53) - 1, -(2**63), 0, 7])
+        for ys in (floats, ints, np.array([0.5, -1e-7, 3.0]), np.array([])):
             report = SeriesReport(name='odd "name"', ys=ys, slope_estimate=Fraction(2, 7),
-                                  slope_lsq=-1.5e-7, final_value=ys[-1] if ys else 0)
+                                  slope_lsq=-1.5e-7, final_value=ys[-1].item() if len(ys) else 0)
             self._check(report)
+
+
+class TestEmit:
+    def test_stdout_and_file_get_the_same_bytes(self, capsys, tmp_path):
+        for argv in (["ratio-sums", "-n", "300", "--format", "csv"],
+                     ["ratio-sums", "-n", "300", "--denom", "value", "--format", "json"],
+                     ["sums", "-n", "300", "--format", "csv"],
+                     ["hasse", "-n", "30"], ["props", "--max-n", "30"]):
+            code, out, _ = run(capsys, *argv)
+            path = tmp_path / "out.txt"
+            assert code == 0 and main([*argv, "--out", str(path)]) == 0
+            assert path.read_text(encoding="utf-8") == out and out
+
+    def test_ratio_csv_rows(self, monkeypatch):
+        report = ratio_sums_index(MobiusVector(SequenceKind.IDENTITY, np.array([0, 1, -1, -1, 0])))
+        expected = [f"{x},{float(y):.12g}\n" for x, y in enumerate(report.ys.tolist(), 1)]
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 3)
+        assert list(cli._series_csv(report)) == ["".join(expected[:3]), "".join(expected[3:])]
 
 
 class TestMatrixCommands:

@@ -7,7 +7,8 @@ without each on/off flag.  A case without a pinned digest fails, so a new
 format or choice must come with its digest; USAGE_ERROR marks the cases
 that exit 2 with a one-line error.  LARGE pins a few integer series at
 N well past 60, where every decimal width of the index column and the
-block boundaries of the decimal writer are crossed.
+block boundaries of the decimal writer are crossed, and both ratio series
+at N = 20,000, past the exact prefix of 10,000 into the compensated tail.
 """
 
 from __future__ import annotations
@@ -264,6 +265,18 @@ LARGE: dict[str, str] = {
         "9a93aeb7c76ea06d98f98ebfac19e5e16e44a41b60c3633671b4f6176e81d670",
     "abs-sums -n 20000 --format csv":
         "b1386dfd788d080c085d0927aa60e58e5741d676d642685cb369b44d78928381",
+    "ratio-sums -n 20000 --denom index --format json":
+        "bfcbc582db754fae43dba57e8b3c517a1f217aa712378e742892186acf4cfdff",
+    "ratio-sums -n 20000 --denom index --format csv":
+        "fcacf38e05b2ea56b5c90e7bb2f3807cb8cf52e4c3c35cb862117014c94ec427",
+    "ratio-sums -n 20000 --denom index --format svg":
+        "223671cca9721c4cf3dd487c18d5580b584812bfd69d3aba4b498c21137c1f7d",
+    "ratio-sums -n 20000 --denom value --format json":
+        "cf625b8f8323d1e456a19032285a8949f3b78e5714cd0b31a9a55656e77b7ee0",
+    "ratio-sums -n 20000 --denom value --format csv":
+        "0b0ee1575356d5d458f43965f1873cc2e0c8f552046a4bb79c51ad608ed3458b",
+    "ratio-sums -n 20000 --denom value --format svg":
+        "76f78fb6b3b02c8aeb4c60b2485a5bf76cab95956a32d55367c5128f4569c141",
 }
 
 

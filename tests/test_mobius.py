@@ -111,6 +111,20 @@ class TestBlockedRecursion:
             mobius_one_var(tri_poset, 2000)
         assert mobius_one_var(tri_poset, 10).terms() == MU_TRI_10
 
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_gather_cap_2000(self, kind, monkeypatch):
+        poset = DivisibilityPoset(kind, 2000)
+        whole = mobius_one_var(poset, 2000).values
+        # 7 entries per run: most runs hold a few rows, long rows run alone
+        monkeypatch.setattr(mobius_module, "_GATHER_CAP", 7)
+        for n in (2, 5, 44, 2000):
+            assert np.array_equal(mobius_one_var(poset, n).values, whole[: n + 1]), n
+
+    def test_gather_cap_1e5(self, tri_poset_1e5, monkeypatch):
+        whole = mobius_one_var(tri_poset_1e5).values
+        monkeypatch.setattr(mobius_module, "_GATHER_CAP", 7)
+        assert np.array_equal(mobius_one_var(tri_poset_1e5).values, whole)
+
 
 class TestTwoVar:
     def test_paper_entries(self, tri_poset):
