@@ -6,7 +6,8 @@ sequences ship with the package so comparisons work offline; fuller
 b-files downloaded from oeis.org can be passed in by path.
 
 decimal_blocks is the one writer of integer arrays as text: the b-file here
-(through decimal_rows) and the CLI's series CSV and JSON arrays all use it.
+(through decimal_rows), the DOT and matrix CSV of exports, and the CLI's
+series CSV and JSON arrays all use it.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ _BLOCK_ROWS = 1 << 16
 
 
 def _magnitudes(block):
-    """(uint64 |v|, v < 0) of a block of an integer column or of a range."""
-    if isinstance(block, range):
-        block = np.arange(block.start, block.stop, dtype=np.int64)
+    """(uint64 |v|, v < 0) of a block of an integer column."""
     neg = block < 0
     mag = block.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # two's complement: |v| of every int64
@@ -74,20 +73,23 @@ def _put_digits(mag, cells, kept) -> None:
 
 
 def _block_text(columns, sep: str, end: str) -> np.ndarray:
-    """ASCII bytes of one block of rows, given each column's _magnitudes.
+    """ASCII bytes of one block of rows, given each column's slice as an array.
 
     Each row is laid out in fixed-width cells (per column a sign cell and
     as many digit cells as its widest value needs, then sep or end); the
-    cells that are text are then taken in row-major order.
+    cells that are text are then taken in row-major order.  columns is
+    used up: each column is dropped once its magnitudes are made, so a
+    block holds those of one column at a time.
     """
-    widths = [len(str(int(mag.max()))) for mag, _ in columns]
+    widths = [len(str(max(-int(col.min()), int(col.max())))) for col in columns]
     literals = [sep] * (len(columns) - 1) + [end]
     width = sum(widths) + len(columns) + sum(map(len, literals))
-    chars = np.empty((len(columns[0][0]), width), dtype=np.uint8)
+    chars = np.empty((len(columns[0]), width), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     cells, kept = chars.T, keep.T  # one row per cell position
     at = 0
-    for (mag, neg), digits, literal in zip(columns, widths, literals):
+    for digits, literal in zip(widths, literals):
+        mag, neg = _magnitudes(columns.pop(0))
         cells[at] = ord("-")
         kept[at] = neg
         _put_digits(mag, cells[at + 1 : at + 1 + digits], kept[at + 1 : at + 1 + digits])
@@ -109,7 +111,9 @@ def decimal_blocks(columns, sep: str, end: str, joined: bool = False):
     n = len(columns[0])
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        text = _block_text([_magnitudes(col[lo:hi]) for col in columns], sep, end)
+        blocks = [col[lo:hi] for col in columns]
+        blocks = [np.arange(b.start, b.stop) if isinstance(b, range) else b for b in blocks]
+        text = _block_text(blocks, sep, end)
         if joined and hi == n:
             text = text[: len(text) - len(end)]
         yield str(text, "ascii")

@@ -10,15 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .bfile import decimal_blocks, decimal_rows
 from .poset import HasseGraph
-
-# Edges formatted per slice by hasse_to_dot.
-_EDGE_SLICE = 1 << 16
 
 
 def matrix_to_csv(matrix) -> str:
     """One row of matrix.array per line, comma-separated integers, zeros explicit."""
-    return "".join(",".join(map(str, row)) + "\n" for row in matrix.array.tolist())
+    return decimal_rows(list(matrix.array.T), ",", "\n")
 
 
 def export_matrix_csv(matrix, path) -> None:
@@ -30,15 +28,16 @@ def hasse_to_dot(graph: HasseGraph) -> str:
 
     rankdir=BT keeps covers pointing upward when rendered, the usual Hasse
     convention.  Every element gets a node line, so isolated elements
-    survive a round trip.  Edge lines are formatted a slice at a time.
+    survive a round trip.  The node and edge lines are integer columns
+    written by decimal_blocks.
     """
     out = ["digraph hasse {\n  rankdir=BT;\n"]
     if graph.n_elements:
-        out.append("  " + ";\n  ".join(map(str, range(1, graph.n_elements + 1))) + ";\n")
-    lower, upper = graph.lower, graph.upper
-    for s in range(0, len(lower), _EDGE_SLICE):
-        pairs = zip(lower[s : s + _EDGE_SLICE].tolist(), upper[s : s + _EDGE_SLICE].tolist())
-        out.append("".join(map("  %s -> %s;\n".__mod__, pairs)))
+        nodes = range(1, graph.n_elements + 1)
+        out += ["  ", *decimal_blocks([nodes], "", ";\n  ", joined=True), ";\n"]
+    if len(graph.lower):
+        edges = [graph.lower, graph.upper]
+        out += ["  ", *decimal_blocks(edges, " -> ", ";\n  ", joined=True), ";\n"]
     out.append("}\n")
     return "".join(out)
 

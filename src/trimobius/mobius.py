@@ -127,9 +127,9 @@ def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
         return 0
     table = poset.predecessor_table(poset.max_index)
     mu = {m: 1}
-    for z in table[n] + [n]:
+    for z in table.row(n).tolist() + [n]:
         if z > m:
-            mu[z] = _guard_magnitude(-sum(mu.get(w, 0) for w in table[z]))
+            mu[z] = _guard_magnitude(-sum(mu.get(w, 0) for w in table.row(z).tolist()))
     return mu[n]
 
 

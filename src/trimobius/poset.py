@@ -22,9 +22,6 @@ I32_MAX = 2**31 - 1
 # Largest i with i(i+1)/2 <= U64_MAX.
 MAX_TRIANGULAR_INDEX = 6_074_000_999
 
-# Entries converted to Python ints at a time when a table is read as rows.
-_ROW_SLICE = 1 << 16
-
 
 class SequenceKind(enum.Enum):
     """Which strictly increasing sequence induces the divisibility order."""
@@ -101,38 +98,29 @@ class PredecessorTable:
     """Strict predecessors of the elements 0..n, in CSR form.
 
     Row k is indices[indptr[k]:indptr[k + 1]], ascending; indptr is int64
-    with n + 2 entries and indices is int32.  The table also reads as a
-    sequence of rows: len(t) == n + 1, t[k] is row k as a list of ints, and
-    iteration yields the rows in order.
+    with n + 2 entries and indices is int32.  len(t) == n + 1, t.row(k) is
+    row k as an int32 view, and iteration yields those views in order.  The
+    arrays are read-only, as the table is a shared cache.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def __getitem__(self, k: int) -> list[int]:
+    def row(self, k: int) -> np.ndarray:
         if not 0 <= k < len(self):
             raise IndexError(f"row {k} outside 0..{len(self) - 1}")
-        return self.indices[self.indptr[k] : self.indptr[k + 1]].tolist()
+        return self.indices[self.indptr[k] : self.indptr[k + 1]]
 
     def __iter__(self):
-        return iter(self.rows(len(self)))
-
-    def rows(self, stop: int) -> list[list[int]]:
-        """Rows 0..stop-1 as lists, sliced from one flat list of the entries.
-
-        Equal entries share one int object, which holds less memory than a
-        fresh int per entry; the entries are converted a slice at a time.
-        """
-        ptr = self.indptr[: stop + 1].tolist()
-        entries = self.indices[: ptr[-1]]
-        ints = list(range(stop))
-        flat: list[int] = []
-        for i in range(0, len(entries), _ROW_SLICE):
-            flat += map(ints.__getitem__, entries[i : i + _ROW_SLICE].tolist())
-        return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+        ptr = self.indptr.tolist()
+        return map(self.indices.__getitem__, map(slice, ptr, ptr[1:]))
 
 
 class DivisibilityPoset:
@@ -189,7 +177,7 @@ class DivisibilityPoset:
 
         Returns a table indexed by element (row 0 empty) that covers at
         least 1..n; the first build covers exactly 1..n.  The table is a
-        shared cache: callers must not write to its arrays.  A larger
+        shared cache, so its arrays are read-only.  A larger
         request rebuilds it to at least twice its size (capped at
         max_index), so ascending requests cost O(log n) builds.
         """
@@ -202,9 +190,19 @@ class DivisibilityPoset:
         return self._pred_table
 
     def _build_predecessors(self, n: int) -> PredecessorTable:
+        """The table on exactly 1..n, after the kind's range check."""
         if self.kind is SequenceKind.IDENTITY:
-            return _segmented_identity_predecessors(n)
-        return _segmented_triangular_predecessors(n)
+            if n > I32_MAX:
+                raise OverflowError(
+                    f"identity predecessor table for n = {n} leaves int32 indices"
+                )
+            return _csr_from_blocks(n, _identity_blocks(n))
+        if 8 * (n * (n + 1) // 2) + 1 > I64_MAX:
+            raise OverflowError(
+                f"triangular predecessor table for n = {n} leaves the exact "
+                "int64 range of the builder (8*T(n)+1 > 2**63-1)"
+            )
+        return _csr_from_blocks(n, _triangular_blocks(n))
 
     def covers(self, i: int, j: int) -> bool:
         """True iff j covers i: i below j, i != j, nothing strictly between.
@@ -324,13 +322,6 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
     return PredecessorTable(indptr, indices)
 
 
-def _segmented_identity_predecessors(n: int) -> PredecessorTable:
-    """Proper divisors of every m in 1..n, from windowed divisor sieves."""
-    if n > I32_MAX:
-        raise OverflowError(f"identity predecessor table for n = {n} leaves int32 indices")
-    return _csr_from_blocks(n, _identity_blocks(n))
-
-
 def _identity_blocks(n: int):
     """Blocks (lo, hi, m, d) of the proper divisors d of each m in lo..hi."""
     for lo in range(2, n + 1, _K_BLOCK):
@@ -341,8 +332,8 @@ def _identity_blocks(n: int):
         yield lo, hi, m[keep], divs[keep]
 
 
-def _segmented_triangular_predecessors(n: int) -> PredecessorTable:
-    """Bulk predecessor table for the triangular poset on 1..n.
+def _triangular_blocks(n: int):
+    """Blocks (lo, hi, k, d) of the triangular predecessors d of each k in lo..hi.
 
     T(k) is the product of the coprime halves (k/2, k+1) or (k, (k+1)/2).
     Per block of k, a windowed sieve lists the divisors of both halves;
@@ -350,16 +341,6 @@ def _segmented_triangular_predecessors(n: int) -> PredecessorTable:
     the triangular ones with index below k are the predecessors.  The
     divisor counts, not the magnitudes, drive the cost.
     """
-    if 8 * (n * (n + 1) // 2) + 1 > I64_MAX:
-        raise OverflowError(
-            f"triangular predecessor table for n = {n} leaves the exact "
-            "int64 range of the builder (8*T(n)+1 > 2**63-1)"
-        )
-    return _csr_from_blocks(n, _triangular_blocks(n))
-
-
-def _triangular_blocks(n: int):
-    """Blocks (lo, hi, k, d) of the triangular predecessors d of each k in lo..hi."""
     for lo in range(2, n + 1, _K_BLOCK):
         hi = min(lo + _K_BLOCK - 1, n)
         k = np.arange(lo, hi + 1, dtype=np.int64)

@@ -303,6 +303,31 @@ class TestVerifyCommand:
         assert code == 0
         assert out == "OK\n"
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_ok_below_first_zero_sum_row(self, capsys, n):
+        assert run(capsys, "verify", "-n", n)[:2] == (0, "OK\n")
+
+    @pytest.mark.parametrize("k", [2, 17, 50])
+    def test_reports_first_broken_zero_sum(self, capsys, monkeypatch, k):
+        # mu(k) altered: the rows below k still sum to zero, row k does not
+        real = cli.mobius.mobius_one_var
+
+        def altered(poset, n=None):
+            vec = real(poset, n)
+            if poset.kind is not SequenceKind.TRIANGULAR:
+                return vec
+            values = vec.values.copy()
+            values[k] += 1
+            return MobiusVector(kind=vec.kind, values=values)
+
+        monkeypatch.setattr(cli.mobius, "mobius_one_var", altered)
+        code, out, _ = run(capsys, "verify", "-n", "50")
+        assert code == 1
+        assert out == (
+            "FAIL: triangular: inversion and recursion disagree\n"
+            f"FAIL: triangular: zero-sum broken at n={k}\n"
+        )
+
 
 class TestOeisDiffCommand:
     def test_bundled_mobius_match(self, capsys):

@@ -1,18 +1,20 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 import pytest
 
 from expected import MOBIUS_TRI_10, ZETA_TRI_10
 from trimobius import (
     DivisibilityPoset,
+    MobiusMatrix,
     SequenceKind,
     hasse_to_dot,
     invert_zeta,
     matrix_to_csv,
     zeta_matrix,
 )
-from trimobius import exports
+from trimobius import bfile
 from trimobius.exports import export_dot, export_matrix_csv, parse_dot
 
 
@@ -34,6 +36,18 @@ class TestMatrixCsv:
         assert matrix_to_csv(invert_zeta(zeta)) == "".join(
             ",".join(map(str, r)) + "\n" for r in MOBIUS_TRI_10
         )
+
+    def test_rows_span_decimal_blocks(self, tri_poset, monkeypatch):
+        # 30 rows are five blocks of 7 and a part; the reference is str per value
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        zeta = zeta_matrix(tri_poset, 30)
+        mobius = invert_zeta(zeta)
+        assert zeta.array.dtype == np.int8 and mobius.array.dtype == np.int64
+        assert (mobius.array < 0).any()
+        extremes = MobiusMatrix(np.array([[-(2**63), 0], [2**63 - 1, -10]], dtype=np.int64))
+        for matrix in (zeta, mobius, zeta_matrix(tri_poset, 1), extremes):
+            expected = "".join(",".join(map(str, row)) + "\n" for row in matrix.array.tolist())
+            assert matrix_to_csv(matrix) == expected
 
     def test_file_round_trip(self, tri_poset, tmp_path):
         path = tmp_path / "m.csv"
@@ -80,14 +94,18 @@ class TestDot:
         graph = DivisibilityPoset(kind, 3000).hasse_edges(3000)
         assert parse_dot(hasse_to_dot(graph)) == graph
 
-    def test_edge_lines_span_slices(self, identity_poset, monkeypatch):
-        graph = identity_poset.hasse_edges(200)
-        expected = hasse_to_dot(graph)
-        monkeypatch.setattr(exports, "_EDGE_SLICE", 7)
-        assert hasse_to_dot(graph) == expected
-        lines = expected.splitlines()
-        assert lines[:4] == ["digraph hasse {", "  rankdir=BT;", "  1;", "  2;"]
-        assert lines[202:] == [f"  {i} -> {j};" for i, j in graph.edges] + ["}"]
+    def test_lines_span_decimal_blocks(self, monkeypatch):
+        # node and edge lines cross blocks of 7 rows; n = 14 ends the node
+        # lines on a block boundary, n = 1 has no edge lines
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        for kind in SequenceKind:
+            poset = DivisibilityPoset(kind, 200)
+            for n in (1, 2, 14, 200):
+                graph = poset.hasse_edges(n)
+                lines = ["digraph hasse {", "  rankdir=BT;"]
+                lines += [f"  {k};" for k in range(1, n + 1)]
+                lines += [f"  {i} -> {j};" for i, j in graph.edges]
+                assert hasse_to_dot(graph) == "\n".join(lines) + "\n}\n", (kind, n)
 
     def test_file_round_trip(self, tri_poset, tmp_path):
         graph = tri_poset.hasse_edges(20)

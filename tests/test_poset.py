@@ -25,6 +25,15 @@ def _same_table(a, b):
     return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
 
+def _build(kind, n):
+    """The table on exactly 1..n, fresh from the builder."""
+    return DivisibilityPoset(kind, n)._build_predecessors(n)
+
+
+def _rows(table):
+    return [row.tolist() for row in table]
+
+
 def _multiples_sieve(n):
     """The original identity builder, kept as the reference: d below 2d, 3d, ..."""
     tbl = [[] for _ in range(n + 1)]
@@ -127,23 +136,23 @@ class TestLeq:
         poset = DivisibilityPoset(kind, 2000)
         table = poset.predecessor_table(2000)
         for n in range(1, 2001):
-            assert all(1 <= d < n for d in table[n])
+            assert all(1 <= d < n for d in table.row(n).tolist())
 
 
 class TestStrictPredecessors:
     def test_paper_rows(self, tri_poset):
         table = tri_poset.predecessor_table(2000)
-        assert table[8] == [1, 2, 3]
-        assert table[9] == [1, 2, 5]
+        assert table.row(8).tolist() == [1, 2, 3]
+        assert table.row(9).tolist() == [1, 2, 5]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_minimum_has_none(self, kind):
-        assert DivisibilityPoset(kind, 10).predecessor_table(10)[1] == []
+        assert DivisibilityPoset(kind, 10).predecessor_table(10).row(1).tolist() == []
 
     def test_identity_gives_proper_divisors(self, identity_poset):
         table = identity_poset.predecessor_table(2000)
-        assert table[12] == [1, 2, 3, 4, 6]
-        assert table[7] == [1]
+        assert table.row(12).tolist() == [1, 2, 3, 4, 6]
+        assert table.row(7).tolist() == [1]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_implementations_agree_to_2000(self, kind):
@@ -151,7 +160,7 @@ class TestStrictPredecessors:
         poset = DivisibilityPoset(kind, 2000)
         table = poset.predecessor_table(2000)
         for n in range(1, 2001):
-            assert table[n] == poset.strict_predecessors_trial(n), n
+            assert table.row(n).tolist() == poset.strict_predecessors_trial(n), n
 
 
 class TestTableGrowth:
@@ -182,28 +191,38 @@ class TestTableGrowth:
 
 class TestPredecessorTable:
     @pytest.mark.parametrize("kind", [TRI, IDENT])
-    def test_csr_arrays_and_row_view(self, kind, monkeypatch):
+    def test_csr_arrays_and_row_view(self, kind):
         table = DivisibilityPoset(kind, 300).predecessor_table(300)
         assert table.indptr.dtype == np.int64 and len(table.indptr) == 302
         assert table.indices.dtype == np.int32
         assert len(table) == 301
-        rows = [table[k] for k in range(301)]
-        assert all(type(v) is int for row in rows for v in row)
-        assert list(table) == rows
-        assert table.rows(50) == rows[:50]
-        monkeypatch.setattr(poset_module, "_ROW_SLICE", 7)
-        assert list(table) == rows and table.rows(50) == rows[:50]
+        rows = [table.row(k) for k in range(301)]
+        assert all(np.shares_memory(row, table.indices) for row in rows if len(row))
+        assert all(row.dtype == np.int32 for row in rows)
+        assert _rows(table) == [row.tolist() for row in rows]
         for k in (-1, 301):
             with pytest.raises(IndexError):
-                table[k]
+                table.row(k)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_rows_are_read_only(self, kind):
+        # the table is a shared cache: a write through a row view would
+        # change every later result computed from it
+        poset = DivisibilityPoset(kind, 300)
+        expected = mobius_one_var(poset, 300).values.copy()
+        table = poset.predecessor_table(300)
+        for view in (table.row(12), list(table)[12], table.indptr, table.indices):
+            with pytest.raises(ValueError):
+                view[0] = 7
+        assert np.array_equal(mobius_one_var(poset, 300).values, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097, 9000])
     def test_identity_matches_multiples_sieve(self, n):
-        assert list(poset_module._segmented_identity_predecessors(n)) == _multiples_sieve(n)
+        assert _rows(_build(IDENT, n)) == _multiples_sieve(n)
 
     def test_identity_does_not_depend_on_block_size(self, monkeypatch):
         monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
-        assert list(poset_module._segmented_identity_predecessors(3000)) == _multiples_sieve(3000)
+        assert _rows(_build(IDENT, 3000)) == _multiples_sieve(3000)
 
     def test_identity_rejects_more_rows_than_int32_indices(self, monkeypatch):
         monkeypatch.setattr(poset_module, "_window_divisors", lambda *a: pytest.fail("built"))
@@ -243,23 +262,24 @@ class TestTriangularBuilder:
     def test_table_does_not_depend_on_segment_sizes(self, monkeypatch):
         # tiny blocks and a budget below one row's candidate count exercise
         # block edges and empty candidate slices
-        expected = poset_module._segmented_triangular_predecessors(3000)
+        expected = _build(TRI, 3000)
         monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
         monkeypatch.setattr(poset_module, "_CANDIDATE_BUDGET", 5)
-        assert _same_table(poset_module._segmented_triangular_predecessors(3000), expected)
+        assert _same_table(_build(TRI, 3000), expected)
 
     def test_sampled_rows_match_trial_oracle_1e5(self, tri_poset_1e5):
         n = tri_poset_1e5.max_index
         table = tri_poset_1e5.predecessor_table(n)
         for k in random.Random(20240207).sample(range(2, n + 1), 50):
-            assert table[k] == tri_poset_1e5.strict_predecessors_trial(k), k
+            assert table.row(k).tolist() == tri_poset_1e5.strict_predecessors_trial(k), k
 
     def test_transient_memory_is_bounded(self):
         # the table itself is most of what the build allocates; a segment
         # size that balloons the candidate arrays pushes the peak past this
+        poset = DivisibilityPoset(TRI, 100_000)
         tracemalloc.start()
         try:
-            table = poset_module._segmented_triangular_predecessors(100_000)
+            table = poset._build_predecessors(100_000)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,7 +427,7 @@ class TestHasseEdges:
     def _set_based_edges(poset, n):
         """The earlier set-based hasse_edges, kept as a reference: i in row j
         is an edge unless it is in row z for some z in row j."""
-        table = list(poset.predecessor_table(n))
+        table = _rows(poset.predecessor_table(n))
         edges = []
         for j in range(2, n + 1):
             below = set()
