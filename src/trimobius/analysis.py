@@ -17,7 +17,7 @@ from math import isqrt
 import numpy as np
 
 from .mobius import MobiusVector
-from .poset import I64_MAX, SequenceKind, sequence_value
+from .poset import I64_MAX, SequenceKind, sequence_value, sequence_values
 
 EXACT_RATIO_LIMIT = 10_000
 
@@ -126,13 +126,6 @@ _RATIO_BLOCK = 1 << 16
 _FLOAT_EXACT = 2**53
 
 
-def _values(kind: SequenceKind, k: np.ndarray) -> np.ndarray:
-    """value(k) for a uint64 array of indices, exact up to 2**64 - 1."""
-    if kind is SequenceKind.TRIANGULAR:
-        return ((k + 1) >> 1) * (k | 1)  # k(k+1)/2 as the product of its halves
-    return k
-
-
 def _quotients(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """t / d in float64, each equal to Python's t / d of the same integers.
 
@@ -161,7 +154,8 @@ def _compensated_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
     fsum = comp = 0.0
     for lo in range(0, n, _RATIO_BLOCK):
         hi = min(lo + _RATIO_BLOCK, n)
-        q = _quotients(terms[lo:hi], _values(kind, np.arange(lo + 1, hi + 1, dtype=np.uint64)))
+        k = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        q = _quotients(terms[lo:hi], sequence_values(kind, k))
         s = q.copy()
         s[0] += fsum
         np.cumsum(s, out=s)
@@ -190,7 +184,7 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: 
     ys = _compensated_sums(terms, kind)
     head = terms[: max(0, min(n, exact_limit))]
     nonzero = np.flatnonzero(head)
-    denominators = _values(kind, (nonzero + 1).astype(np.uint64))
+    denominators = sequence_values(kind, (nonzero + 1).astype(np.uint64))
     exact = Fraction(0)
     steps = [0.0]  # float(exact) after each nonzero term
     for t, d in zip(head[nonzero].tolist(), denominators.tolist()):

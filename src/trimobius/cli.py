@@ -161,12 +161,17 @@ _MATRIX = {
 _RECORDS = {"csv": _records_csv, "json": _records_json}
 
 
-def _write(table: dict, default: str, value, args) -> None:
-    """Write value in args.format, or in default, with the writer from table."""
+def _format(table: dict, default: str, args) -> str:
+    """args.format, or default; UsageError unless table has a writer for it."""
     fmt = args.format or default
     if fmt not in table:
         raise UsageError(f"--format {fmt} does not apply here; use one of {', '.join(table)}")
-    _emit(table[fmt](value), args.out)
+    return fmt
+
+
+def _write(table: dict, default: str, value, args) -> None:
+    """Write value in args.format, or in default, with the writer from table."""
+    _emit(table[_format(table, default, args)](value), args.out)
 
 
 def _mobius_vector(args) -> mobius.MobiusVector:
@@ -257,6 +262,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    # --format offers every series format, so check it before the sieve runs
+    _format(_TERMS if args.series == "mobius" else _SERIES, "bfile", args)
     vec = analysis.classical_mobius(args.limit)
     if args.series == "mobius":
         _write(_TERMS, "bfile", {"values": vec.values[1:]}, args)
@@ -313,7 +320,8 @@ def cmd_oeis_diff(args) -> int:
             raise UsageError("bundled snapshots cover the triangular kind only")
         name = "A350682" if args.series == "mobius" else "A351167"
         reference = bfile.bundled_snapshot(name)
-    n = args.limit or reference.last_index
+    # n >= 1 even for a b-file ending at index 0, whose overlap oeis_diff rejects
+    n = args.limit or max(reference.last_index, 1)
     vec = mobius.mobius_one_var(DivisibilityPoset(_kind(args), n), n)
     if args.series == "mobius":
         terms = vec.values[1:]

@@ -8,7 +8,6 @@ oracle for moderate sizes.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .poset import I64_MAX, DivisibilityPoset, SequenceKind
 DENSE_CAP = 1000
 
 # Most predecessor entries gathered at once by the recursion.
-_GATHER_CAP = 1 << 20
+_GATHER_CAP = 1 << 16
 
 
 def _guard_magnitude(value: int) -> int:
@@ -55,42 +54,34 @@ class MobiusVector:
         return self.values[1:].tolist()
 
 
-def _block_end(kind: SequenceKind, lo: int) -> int:
-    """Largest hi such that every strict predecessor of lo..hi lies below lo.
-
-    For a strict predecessor d of k, value(k)/value(d) is an integer >= 2,
-    so value(d) <= value(k)/2.  While value(hi) < 2*value(lo) that puts
-    value(d) below value(lo), hence d < lo.  Identity: hi = 2*lo - 1.
-    Triangular: the largest hi with T(hi) <= 2*T(lo) - 1.
-    """
-    if kind is SequenceKind.IDENTITY:
-        return 2 * lo - 1
-    return (isqrt(16 * (lo * (lo + 1) // 2) - 7) - 1) // 2
-
-
 def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVector:
     """Compute mu(1, k) for k = 1..n by the zero-sum recursion.
 
     mu(1, 1) = 1 and, for k >= 2, mu(1, k) is minus the sum of mu(1, d)
-    over all strict predecessors d of k.  The values are computed in
-    geometric blocks lo..hi (see _block_end) whose predecessors all lie
-    below lo and are final, so a block's rows can be summed in any grouping:
-    runs of rows holding at most _GATHER_CAP entries (or a single row),
-    each one gather and one np.add.reduceat over the table; every row
-    k >= 2 holds 1, so none is empty.  Before each block, the largest |mu|
-    so far times its longest row must fit in int64, or OverflowError is
+    over all strict predecessors d of k.  The values are computed in runs
+    of rows lo..hi, each one gather and one np.add.reduceat over the table;
+    every row k >= 2 holds 1, so none is empty.  A run ends at n, at
+    _GATHER_CAP entries (a single row always runs), or just before the
+    first row reading a value at or past lo.  Rows are ascending, so that
+    is the first row whose last entry is >= lo, and every value a run reads
+    is final, whatever the sequence.  Before each run, the largest |mu| so
+    far times its longest row must fit in int64, or OverflowError is
     raised.
     """
     if n is None:
         n = poset.max_index
     table = poset.predecessor_table(n)
-    indptr, indices = table.indptr, table.indices
+    indptr, indices = table.indptr[: n + 2], table.indices
     mu = np.zeros(n + 1, dtype=np.int64)
     mu[1] = 1
     top = 1  # largest |mu| so far, a Python int
     lo = 2
     while lo <= n:
-        hi = min(n, _block_end(poset.kind, lo))
+        # rows lo..hi hold at most _GATHER_CAP entries, or hi = lo
+        hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + _GATHER_CAP, "right")) - 2)
+        reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
+        if reads_lo.any():
+            hi = lo + int(reads_lo.argmax())
         starts = indptr[lo : hi + 2]
         bound = top * int(np.diff(starts).max())
         if bound > I64_MAX:
@@ -98,17 +89,11 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
                 f"Mobius sums at n = {lo}..{hi} may reach {bound}, "
                 "beyond the signed 64-bit range"
             )
-        row = 0
-        while row <= hi - lo:
-            # rows row..end - 1: at most _GATHER_CAP entries, or one row
-            end = int(np.searchsorted(starts, starts[row] + _GATHER_CAP, "right")) - 1
-            end = max(end, row + 1)
-            run = starts[row : end + 1]
-            gathered = mu[indices[run[0] : run[-1]]]
-            np.negative(
-                np.add.reduceat(gathered, run[:-1] - run[0]), out=mu[lo + row : lo + end]
-            )
-            row = end
+        # the gather is a temporary, freed before the next run's is built
+        np.negative(
+            np.add.reduceat(mu[indices[starts[0] : starts[-1]]], starts[:-1] - starts[0]),
+            out=mu[lo : hi + 1],
+        )
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
         lo = hi + 1
     return MobiusVector(kind=poset.kind, values=mu)
@@ -120,12 +105,13 @@ def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
     Zero when m is not below n.  Otherwise one ascending pass over n's
     predecessor row: mu(m, m) = 1, and each z above m gets minus the sum
     of mu(m, w) over its own predecessors w; a w outside the interval
-    contributes zero.  The row comes from the table of the whole poset,
-    so a sequence of calls with growing n builds it only once.
+    contributes zero.  The rows come from the poset's cached table on at
+    least 1..n, which a larger request rebuilds to at least twice its size,
+    so a sequence of calls with growing n costs O(log n) builds.
     """
     if not poset.leq(m, n):
         return 0
-    table = poset.predecessor_table(poset.max_index)
+    table = poset.predecessor_table(n)
     mu = {m: 1}
     for z in table.row(n).tolist() + [n]:
         if z > m:

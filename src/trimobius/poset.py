@@ -50,6 +50,16 @@ def sequence_value(kind: SequenceKind, i: int) -> int:
     return i
 
 
+def sequence_values(kind: SequenceKind, k: np.ndarray) -> np.ndarray:
+    """sequence_value over a uint64 array of indices, exact up to 2**64 - 1.
+
+    No range check: the caller checks the largest index with sequence_value.
+    """
+    if kind is SequenceKind.TRIANGULAR:
+        return ((k + 1) >> 1) * (k | 1)  # k(k+1)/2 as the product of its halves
+    return k
+
+
 def triangular_index(v: int) -> int:
     """Index k with k(k+1)/2 == v, or 0 when v is not a triangular number.
 

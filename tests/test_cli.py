@@ -296,6 +296,16 @@ class TestClassicalCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_format_is_checked_before_the_sieve(self, capsys, monkeypatch):
+        def sieve(n):
+            raise AssertionError("the sieve ran before the usage check")
+
+        monkeypatch.setattr(cli.analysis, "classical_mobius", sieve)
+        code, out, err = run(capsys, "classical", "-n", "20000000", "--series", "mobius",
+                             "--format", "svg")
+        assert (code, out) == (2, "")
+        assert err == "error: --format svg does not apply here; use one of bfile, csv, json\n"
+
 
 class TestVerifyCommand:
     def test_ok_at_small_n(self, capsys):
@@ -353,6 +363,13 @@ class TestOeisDiffCommand:
         code, out, _ = run(capsys, "oeis-diff", "--series", "sums", "--bfile", str(bad))
         assert code == 1
         assert out == "mismatch at index 4: reference -5, computed -1\n"
+
+    def test_bfile_ending_at_index_0_has_empty_overlap(self, capsys, tmp_path):
+        ref = tmp_path / "zero.txt"
+        ref.write_text("0 1\n")
+        code, out, err = run(capsys, "oeis-diff", "--bfile", str(ref))
+        assert (code, out) == (1, "")
+        assert err == "error: empty overlap: reference covers 0..0, computed covers 1..1\n"
 
     def test_identity_without_bfile_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oeis-diff", "--kind", "identity")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from trimobius import (
     invert_zeta,
     mobius_one_var,
     mobius_two_var,
-    sequence_value,
     verify_inverse,
     zeta_matrix,
 )
 from trimobius import mobius as mobius_module
 from trimobius.mobius import _guard_magnitude
+from trimobius.poset import PredecessorTable
 
 TRI = SequenceKind.TRIANGULAR
 IDENT = SequenceKind.IDENTITY
@@ -94,18 +95,9 @@ class TestBlockedRecursion:
             assert vec.values.tolist() == list(_row_loop_reference(poset, n)), n
             assert all(type(v) is int for v in vec.terms())
 
-    @pytest.mark.parametrize("kind", [TRI, IDENT])
-    def test_block_end_is_the_largest_safe_end(self, kind):
-        def value(i):
-            return sequence_value(kind, i)
-
-        for lo in [*range(2, 3000), 99_999, 10**9 + 7]:
-            hi = mobius_module._block_end(kind, lo)
-            assert value(hi) < 2 * value(lo) <= value(hi + 1), lo
-
     def test_overflow_raises_before_the_sums(self, tri_poset, monkeypatch):
         # with int64 shrunk to 63, the bound (largest |mu| so far times the
-        # longest row of a block) passes 63 before n = 2000, not by n = 10
+        # longest row of a run) passes 63 before n = 2000, not by n = 10
         monkeypatch.setattr(mobius_module, "I64_MAX", 63)
         with pytest.raises(OverflowError):
             mobius_one_var(tri_poset, 2000)
@@ -124,6 +116,49 @@ class TestBlockedRecursion:
         whole = mobius_one_var(tri_poset_1e5).values
         monkeypatch.setattr(mobius_module, "_GATHER_CAP", 7)
         assert np.array_equal(mobius_one_var(tri_poset_1e5).values, whole)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_gather_is_freed_before_the_next_run(self, kind, monkeypatch):
+        # beside mu, a run holds its gather of at most _GATHER_CAP int64
+        # entries and smaller per-row arrays (~1.6 caps in all); a gather kept
+        # alive while the next one is built pushes the peak to ~2.5 caps
+        poset = DivisibilityPoset(kind, 100_000)
+        poset.predecessor_table(100_000)
+        cap = 1 << 14
+        monkeypatch.setattr(mobius_module, "_GATHER_CAP", cap)
+        tracemalloc.start()
+        try:
+            mobius_one_var(poset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * 100_001 <= 2 * 8 * cap
+
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 20])
+    def test_runs_come_from_any_table(self, monkeypatch, cap):
+        # random ascending rows, each holding 1, about half of them reading
+        # the row just before: no sequence bounds where a run may end
+        rng = random.Random(cap)
+        rows = [[], [], [1]]
+        for k in range(3, 2001):
+            row = {1, rng.randrange(1, k)}
+            if rng.random() < 0.5:
+                row.add(k - 1)
+            rows.append(sorted(row))
+        indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+        indices = np.array([d for r in rows for d in r], dtype=np.int32)
+
+        class TablePoset:
+            kind, max_index = TRI, 2000
+
+            def predecessor_table(self, n):
+                return PredecessorTable(indptr, indices)
+
+        monkeypatch.setattr(mobius_module, "_GATHER_CAP", cap)
+        reference = [0, 1]
+        for k in range(2, 2001):
+            reference.append(-sum(reference[d] for d in rows[k]))
+        assert mobius_one_var(TablePoset()).values.tolist() == reference
 
 
 class TestTwoVar:
@@ -155,6 +190,18 @@ class TestTwoVar:
     def test_out_of_range(self, tri_poset):
         with pytest.raises(IndexError):
             mobius_two_var(tri_poset, 0, 5)
+
+    def test_builds_the_table_only_up_to_n(self, monkeypatch):
+        poset = DivisibilityPoset(TRI, 10**6)
+        real, built = poset._build_predecessors, []
+
+        def spy(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(poset, "_build_predecessors", spy)
+        assert mobius_two_var(poset, 2, 3) == -1
+        assert built and max(built) <= 3
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_matches_dense_inverse_60(self, kind):

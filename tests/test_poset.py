@@ -7,6 +7,7 @@ import pytest
 
 from expected import HASSE_TRI_20, PRED_TABLE_TRI
 from trimobius import poset as poset_module
+from trimobius.poset import sequence_values
 from trimobius import (
     MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
@@ -79,6 +80,19 @@ class TestSequenceValue:
             DivisibilityPoset(TRI, MAX_TRIANGULAR_INDEX + 1)
         with pytest.raises(ValueError):
             DivisibilityPoset(TRI, 0)
+
+
+class TestSequenceValues:
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_matches_sequence_value(self, kind):
+        # past k = 2**32 the product k(k+1) leaves uint64; its halves do not
+        rng = random.Random(7)
+        ks = [1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, MAX_TRIANGULAR_INDEX - 1,
+              MAX_TRIANGULAR_INDEX]
+        ks += [rng.randrange(1, MAX_TRIANGULAR_INDEX + 1) for _ in range(2000)]
+        values = sequence_values(kind, np.array(ks, dtype=np.uint64))
+        assert values.dtype == np.uint64
+        assert values.tolist() == [sequence_value(kind, k) for k in ks]
 
 
 class TestTriangularIndex:
