@@ -275,8 +275,9 @@ def cmd_classical(args) -> int:
 def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.MobiusVector:
     """Check the recursion against the dense inverse and the zero sums; return it."""
     poset = DivisibilityPoset(kind, n)
-    vec = mobius.mobius_one_var(poset, n)
+    # zeta_matrix refuses n > DENSE_CAP before any table is built
     zeta = mobius.zeta_matrix(poset, n)
+    vec = mobius.mobius_one_var(poset, n)
     try:
         minv = mobius.invert_zeta(zeta)  # checks M.Z == I internally
     except ArithmeticError as exc:

@@ -267,43 +267,56 @@ _K_BLOCK = 4096
 _CANDIDATE_BUDGET = 1 << 14
 
 
-def _window_divisors(w0: int, w1: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_divisors(w0: int, w1: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Divisors of every m in w0..w1, by a windowed sieve over d <= sqrt(w1).
 
-    Returns (divs, offsets): the divisors of m, in no particular order, are
-    divs[offsets[m - w0]:offsets[m - w0 + 1]].
+    With odd, only the odd m are listed, and only odd d divide them.  Returns
+    (divs, offsets): the divisors of m, in no particular order, are
+    divs[offsets[j]:offsets[j + 1]] for the slot j = (m - w0) >> odd.
     """
-    d = np.arange(1, isqrt(w1) + 1, dtype=np.int64)
-    # each d pairs with its cofactor m // d, so only multiples m >= d*d count
-    first = np.maximum(d * d, -(-w0 // d) * d)
-    count = np.maximum((w1 - first) // d + 1, 0)
+    if odd:
+        w1 = (w1 - 1) | 1  # the largest odd m in the window
+    d = np.arange(1, isqrt(w1) + 1, 1 + odd, dtype=np.int64)
+    # each d pairs with its cofactor c = m // d, so only c >= d counts; an odd
+    # m has odd cofactors only, 2 apart
+    c = -(-w0 // d)
+    c |= odd
+    np.maximum(c, d, out=c)
+    count = np.maximum(((w1 // d - c) >> odd) + 1, 0)
     dd = np.repeat(d, count)
-    step = np.arange(len(dd), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
-    m = np.repeat(first, count) + step * dd
-    co = m // dd
+    co = np.arange(len(dd), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
+    co <<= odd
+    co += np.repeat(c, count)
+    m = co * dd
     distinct = co != dd
-    m = np.concatenate([m, m[distinct]])
+    slot = np.concatenate([m, m[distinct]])
     divs = np.concatenate([dd, co[distinct]])
-    offsets = np.zeros(w1 - w0 + 2, dtype=np.int64)
-    np.cumsum(np.bincount(m - w0, minlength=w1 - w0 + 1), out=offsets[1:])
-    # the window offsets fit the smallest unsigned type, for which numpy's
-    # stable argsort is a radix sort
-    key = (m - w0).astype(np.min_scalar_type(w1 - w0))
+    slot -= w0
+    slot >>= odd
+    n_slots = ((w1 - w0) >> odd) + 1
+    # the slots fit the smallest unsigned type, for which numpy's stable
+    # argsort is a radix sort
+    key = slot.astype(np.min_scalar_type(n_slots))
+    offsets = np.zeros(n_slots + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n_slots), out=offsets[1:])
     return divs[np.argsort(key, kind="stable")], offsets
 
 
-def _triangular_indices(v: np.ndarray) -> np.ndarray:
-    """Vectorised triangular_index: k with k(k+1)/2 == v, else 0.
+def _triangular_hits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the triangular values in v, and their k with k(k+1)/2 == v.
 
-    Exact while 8v+1 <= 2**63-1.  For a square w = s*s with s < 2**32, the
-    float root of float(w) is off by less than half a float spacing at s,
-    so it truncates to s itself; a non-square fails the integer check
-    whatever the float root is.  The root stays below 3,037,000,500, so
-    s*s never leaves int64.
+    v is triangular iff w = 8v+1 is a perfect square, tested exactly while
+    w <= 2**63-1.  For a square w = s*s with s < 2**32, the float root of
+    float(w) is off by less than half a float spacing at s, so it truncates
+    to s itself; a non-square fails the integer check whatever the float
+    root is.  The root stays below 3,037,000,500, so s*s never leaves int64.
+    Only the hits, which are few, pay for the index (s - 1) / 2.
     """
-    w = 8 * v + 1
+    w = 8 * v
+    w += 1
     s = np.sqrt(w).astype(np.int64)
-    return np.where(s * s == w, (s - 1) // 2, 0)
+    hits = np.flatnonzero(s * s == w)
+    return hits, (s[hits] - 1) >> 1
 
 
 def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
@@ -345,37 +358,41 @@ def _identity_blocks(n: int):
 def _triangular_blocks(n: int):
     """Blocks (lo, hi, k, d) of the triangular predecessors d of each k in lo..hi.
 
-    T(k) is the product of the coprime halves (k/2, k+1) or (k, (k+1)/2).
-    Per block of k, a windowed sieve lists the divisors of both halves;
-    their ragged outer product is every divisor of T(k) exactly once, and
-    the triangular ones with index below k are the predecessors.  The
-    divisor counts, not the magnitudes, drive the cost.
+    T(k) is the product of the coprime factors (k+1)//2 and k|1, the second
+    always odd.  Per block of k, a windowed sieve lists the divisors of the
+    first and an odd-only one those of the second; their ragged outer
+    product is every divisor of T(k) exactly once, and the triangular ones
+    with index below k are the predecessors.  Rows are taken in slices of
+    about _CANDIDATE_BUDGET candidates, each slice expanded by its rows'
+    a-divisors, so no candidate needs a division.  The divisor counts, not
+    the magnitudes, drive the cost.
     """
     for lo in range(2, n + 1, _K_BLOCK):
         hi = min(lo + _K_BLOCK - 1, n)
         k = np.arange(lo, hi + 1, dtype=np.int64)
-        # halved factor (k+1)//2 and unhalved factor k or k+1, as window offsets
-        a0, b0 = (lo + 1) // 2, lo
+        a0 = (lo + 1) // 2
         divs_a, off_a = _window_divisors(a0, (hi + 1) // 2)
-        divs_b, off_b = _window_divisors(b0, hi + 1)
-        ia = (k + 1) // 2 - a0
-        ib = k + (k % 2 == 0) - b0
-        start_a, start_b = off_a[ia], off_b[ib]
-        n_b = off_b[ib + 1] - start_b
-        n_cand = (off_a[ia + 1] - start_a) * n_b
-        cum = np.cumsum(n_cand)
+        divs_b, off_b = _window_divisors(lo, hi | 1, odd=True)
+        ia = ((k + 1) >> 1) - a0
+        ib = ((k | 1) - lo) >> 1
+        start_a, n_a = off_a[ia], off_a[ia + 1] - off_a[ia]
+        start_b, n_b = off_b[ib], off_b[ib + 1] - off_b[ib]
+        cum = np.cumsum(n_a * n_b)
         cuts = np.searchsorted(
             cum, np.arange(_CANDIDATE_BUDGET, cum[-1], _CANDIDATE_BUDGET), side="right"
         )
         bounds = [0, *cuts.tolist(), len(k)]
         for s, e in zip(bounds[:-1], bounds[1:]):
-            nc = n_cand[s:e]
-            row = np.repeat(np.arange(s, e), nc)
-            pos = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(nc) - nc, nc)
-            q, r = np.divmod(pos, n_b[row])
-            idx = _triangular_indices(divs_a[start_a[row] + q] * divs_b[start_b[row] + r])
+            na, nb = n_a[s:e], n_b[s:e]
+            # one entry per a-divisor of each row, carrying its row's b-side
+            ja = np.repeat(start_a[s:e] - (np.cumsum(na) - na), na)
+            ja += np.arange(len(ja))
+            nb_a = np.repeat(nb, na)
+            jb = np.repeat(np.repeat(start_b[s:e], na) - (np.cumsum(nb_a) - nb_a), nb_a)
+            jb += np.arange(len(jb))
+            hits, idx = _triangular_hits(np.repeat(divs_a[ja], nb_a) * divs_b[jb])
             # few candidates are triangular; among those, drop k itself
-            hit = idx > 0
-            kk, idx = row[hit] + lo, idx[hit]
+            kk = np.searchsorted(cum[s:e] - (cum[s - 1] if s else 0), hits, side="right")
+            kk += lo + s
             keep = idx < kk
             yield lo + s, lo + e - 1, kk[keep], idx[keep]

@@ -245,6 +245,15 @@ class TestDenseCap:
         assert out == ""
         assert err == "error: dense matrix size 1001 exceeds the cap DENSE_CAP = 1000\n"
 
+    def test_verify_refuses_before_building(self, capsys, monkeypatch):
+        def build(self, n):
+            raise AssertionError("a predecessor table was built")
+
+        monkeypatch.setattr(cli.DivisibilityPoset, "_build_predecessors", build)
+        code, out, err = run(capsys, "verify", "-n", "300000")
+        assert (code, out) == (1, "")
+        assert err == "error: dense matrix size 300000 exceeds the cap DENSE_CAP = 1000\n"
+
 
 class TestRecordsCommand:
     def test_csv_rows(self, capsys):

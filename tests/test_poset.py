@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ class TestTriangularBuilder:
         finally:
             tracemalloc.stop()
         assert len(table) == 100_001
-        assert peak - current <= 8 * 2**20
+        assert peak - current <= 4 * 2**20
 
     def test_triangular_indices_exact_at_int64_edge(self):
         top = self.INT64_TOP
@@ -307,20 +308,23 @@ class TestTriangularBuilder:
         # every triangular value in a band below the limit, and its neighbours
         k = np.arange(top - 200_000, top + 1, dtype=np.int64)
         t = k * (k + 1) // 2
-        assert (poset_module._triangular_indices(t) == k).all()
-        assert not poset_module._triangular_indices(t - 1).any()
-        assert not poset_module._triangular_indices(t + 1).any()
+        hits, idx = poset_module._triangular_hits(t)
+        assert np.array_equal(hits, np.arange(len(t))) and np.array_equal(idx, k)
+        assert len(poset_module._triangular_hits(t - 1)[0]) == 0
+        assert len(poset_module._triangular_hits(t + 1)[0]) == 0
         rng = random.Random(7)
         values = [1, 2, 3, 6, 7]
         values += [rng.randrange(1, sequence_value(TRI, top)) for _ in range(2000)]
-        got = poset_module._triangular_indices(np.array(values, dtype=np.int64))
+        hits, idx = poset_module._triangular_hits(np.array(values, dtype=np.int64))
+        got = np.zeros(len(values), dtype=np.int64)
+        got[hits] = idx
         assert got.tolist() == [triangular_index(v) for v in values]
 
     def test_rejects_table_past_int64_range(self, monkeypatch):
         class SieveReached(Exception):
             pass
 
-        def sieve_reached(*args):
+        def sieve_reached(*args, **kwargs):
             raise SieveReached
 
         top = self.INT64_TOP
@@ -330,6 +334,23 @@ class TestTriangularBuilder:
         # the limit itself passes the check and reaches the sieve
         with pytest.raises(SieveReached):
             DivisibilityPoset(TRI, top).predecessor_table(top)
+
+    @pytest.mark.parametrize(
+        "w0,w1",
+        [(1, 1), (1, 2), (1, 200), (2, 2), (3, 3), (2, 9), (2, 10), (3, 9), (3, 10),
+         (4096, 6000), (4097, 6001), (999_997, 1_000_200)],
+    )
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_window_divisors_match_brute_force(self, w0, w1, odd):
+        # the odd window lists the odd m only, slot j holding m = w0 + 2j or w0 + 2j + 1
+        divs, offsets = poset_module._window_divisors(w0, w1, odd=odd)
+        ms = [m for m in range(w0, w1 + 1) if m % 2 or not odd]
+        assert len(offsets) == len(ms) + 1 and offsets[0] == 0
+        for m in ms:
+            j = (m - w0) >> odd
+            got = sorted(divs[offsets[j] : offsets[j + 1]].tolist())
+            small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+            assert got == sorted({*small, *(m // d for d in small)}), m
 
 
 class TestCovers:
