@@ -1,5 +1,19 @@
 """Exact Mobius function computation for sequence-induced divisibility posets."""
 
+import os as _os
+import sys as _sys
+
+# trimobius makes no BLAS call, but numpy's OpenBLAS starts a worker thread
+# per extra core when numpy loads, and reads OPENBLAS_NUM_THREADS only then.
+# So numpy is loaded here with one thread, unless it is loaded already or the
+# variable is set, and the environment is then left as it was.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .analysis import (
     MagnitudeRecord,
     MagnitudeRecordTable,

@@ -2,17 +2,18 @@
 
 Series over integer terms stay exact, in int64.  The two ratio series are
 float64 arrays: up to a configurable prefix (default 10,000) each entry is
-float() of the exact rational partial sum, which one running Fraction
-accumulates without storing; beyond it, Neumaier-compensated float sums,
-computed in numpy blocks bit-identically to the sequential loop.  The two
-paths are cross-checked where the prefix ends.
+float() of the exact rational partial sum, accumulated as one integer
+numerator over the running lcm of the denominators; beyond it,
+Neumaier-compensated float sums, computed in numpy blocks bit-identically
+to the sequential loop.  The two paths are cross-checked where the prefix
+ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -169,13 +170,32 @@ def _compensated_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
     return ys
 
 
+def _exact_sums(terms: list, denominators: list):
+    """float() of each exact partial sum of t / d, and the last one as a Fraction.
+
+    The sum is kept as an integer numerator over the lcm of the d seen so
+    far, so no step reduces by a gcd.  Python's int / int is correctly
+    rounded, so each float equals float() of the Fraction, bit for bit.
+    """
+    num, lcm = 0, 1
+    steps = []
+    for t, d in zip(terms, denominators):
+        g = gcd(lcm, d)
+        if g != d:
+            num *= d // g
+            lcm *= d // g
+        num += t * (lcm // d)
+        steps.append(num / lcm)
+    return steps, Fraction(num, lcm)
+
+
 def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: int):
     """Shared builder for the two ratio series, mu(k) / value(k) of the kind.
 
     ys is float64.  Through min(N, exact_limit) it holds float() of the
-    exact partial sums, accumulated in one running Fraction that is not
-    stored; beyond, the compensated float sums.  The float path runs from
-    the start so the two are cross-checked at exact_limit.
+    exact partial sums, from _exact_sums over the nonzero terms; beyond,
+    the compensated float sums.  The float path runs from the start so the
+    two are cross-checked at exact_limit.
     """
     terms = mu.values[1:]
     n = len(terms)
@@ -185,11 +205,7 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: 
     head = terms[: max(0, min(n, exact_limit))]
     nonzero = np.flatnonzero(head)
     denominators = sequence_values(kind, (nonzero + 1).astype(np.uint64))
-    exact = Fraction(0)
-    steps = [0.0]  # float(exact) after each nonzero term
-    for t, d in zip(head[nonzero].tolist(), denominators.tolist()):
-        exact = exact + Fraction(t, d)
-        steps.append(float(exact))
+    steps, exact = _exact_sums(head[nonzero].tolist(), denominators.tolist())
     if 0 < exact_limit < n:
         drift = abs(float(exact) - float(ys[exact_limit - 1]))
         if drift > RATIO_CROSSCHECK_TOL:
@@ -197,7 +213,7 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: 
                 f"exact/compensated accumulation disagree by {drift:.3e} "
                 f"at n={exact_limit}"
             )
-    ys[: len(head)] = np.array(steps)[np.cumsum(head != 0)]
+    ys[: len(head)] = np.array([0.0, *steps])[np.cumsum(head != 0)]
     if n <= exact_limit:
         final = exact
         slope = _endpoint_slope(Fraction(int(terms[0])), exact, n)  # value(1) = 1

@@ -13,6 +13,7 @@ series CSV and JSON arrays all use it.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +154,11 @@ def export_bfile(terms, path, offset: int = 1) -> None:
     Path(path).write_text(format_bfile(terms, offset=offset), encoding="ascii")
 
 
+# A b-file field: an optional minus sign and ASCII digits, nothing else that
+# int() would take (no '+', '_' or non-ASCII digits).
+_BFILE_INT = re.compile(r"-?[0-9]+")
+
+
 def parse_bfile(text: str) -> BFile:
     """Parse b-file text.  Skips blank and '#' comment lines.
 
@@ -166,10 +172,9 @@ def parse_bfile(text: str) -> BFile:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
-        try:
-            n, value = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from exc
+        if not all(map(_BFILE_INT.fullmatch, fields)):
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}")
+        n, value = int(fields[0]), int(fields[1])
         if pairs and n != pairs[-1][0] + 1:
             raise ValueError(
                 f"line {lineno}: index {n} not contiguous after {pairs[-1][0]}"

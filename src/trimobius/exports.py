@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .bfile import decimal_blocks, decimal_rows
-from .poset import HasseGraph
+from .poset import I64_MAX, HasseGraph
 
 
 def matrix_to_csv(matrix) -> str:
@@ -46,23 +46,43 @@ def export_dot(graph: HasseGraph, path) -> None:
     Path(path).write_text(hasse_to_dot(graph), encoding="ascii")
 
 
-_DOT_EDGE = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*;\s*$")
-_DOT_NODE = re.compile(r"^\s*(\d+)\s*;\s*$")
+_DOT_EDGE = re.compile(r"^\s*([0-9]+)\s*->\s*([0-9]+)\s*;\s*$")
+_DOT_NODE = re.compile(r"^\s*([0-9]+)\s*;\s*$")
+
+
+def _dot_id(digits: str) -> int:
+    """A node id of DOT text: 1..I64_MAX, as the HasseGraph arrays hold."""
+    value = int(digits)
+    if not 1 <= value <= I64_MAX:
+        raise ValueError(f"DOT node id {digits} is outside 1..{I64_MAX}")
+    return value
 
 
 def parse_dot(text: str) -> HasseGraph:
-    """Rebuild a HasseGraph from DOT text produced by hasse_to_dot."""
+    """Rebuild a HasseGraph from DOT text produced by hasse_to_dot.
+
+    n is the largest node id.  Raises ValueError if there is no node line,
+    on an id outside 1..I64_MAX, and on an edge that is not lower < upper
+    <= n or that repeats an earlier one.
+    """
     nodes = set()
     edges = []
     for line in text.splitlines():
         m = _DOT_EDGE.match(line)
         if m:
-            edges.append((int(m.group(1)), int(m.group(2))))
+            edges.append((_dot_id(m.group(1)), _dot_id(m.group(2))))
             continue
         m = _DOT_NODE.match(line)
         if m:
-            nodes.add(int(m.group(1)))
+            nodes.add(_dot_id(m.group(1)))
     if not nodes:
         raise ValueError("no node lines found in DOT text")
-    lower, upper = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
-    return HasseGraph(max(nodes), lower, upper)
+    n = max(nodes)
+    edges.sort()
+    for t, (lower, upper) in enumerate(edges):
+        if not lower < upper <= n:
+            raise ValueError(f"DOT edge {lower} -> {upper} is not lower < upper <= {n}")
+        if t and edges[t - 1] == (lower, upper):
+            raise ValueError(f"DOT edge {lower} -> {upper} appears twice")
+    lower, upper = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return HasseGraph(n, lower, upper)

@@ -16,6 +16,7 @@ from expected import (
 )
 from trimobius import analysis as analysis_module
 from trimobius import (
+    MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
     MobiusVector,
     SequenceKind,
@@ -30,6 +31,7 @@ from trimobius import (
     ratio_sums_index,
     ratio_sums_triangular,
 )
+from trimobius.poset import sequence_values
 
 TRI = SequenceKind.TRIANGULAR
 
@@ -319,6 +321,36 @@ class TestRatioArrays:
             assert _bits(new.ys) == _bits(old.ys) and new.final_value == old.final_value
         values = [k * (k + 1) // 2 for k in range(1, 3001)]
         _assert_matches_loop(got[1], vec.terms(), values, 100)
+
+
+class TestExactSums:
+    """_exact_sums against one Fraction per step, the loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "kind, first",
+        [
+            (TRI, 1),
+            (TRI, 2**20),
+            (TRI, MAX_TRIANGULAR_INDEX - 1999),  # values near 2**64
+            (SequenceKind.IDENTITY, 1),
+            (SequenceKind.IDENTITY, 2**53 - 1000),
+            (SequenceKind.IDENTITY, 2**64 - 2000),
+        ],
+    )
+    def test_seeded_terms(self, kind, first):
+        rng = np.random.default_rng(first % 2**32)
+        k = first + np.flatnonzero(rng.random(2000) < 0.45).astype(np.uint64)
+        denominators = sequence_values(kind, k).tolist()
+        terms = (rng.integers(1, 31, len(k)) * rng.choice([-1, 1], len(k))).tolist()
+        steps, final = analysis_module._exact_sums(terms, denominators)
+        assert _bits(steps) == _bits(_running_fractions(terms, denominators))
+        assert type(final) is Fraction
+        assert final == sum(map(Fraction, terms, denominators), Fraction(0))
+        if first > 2**32:
+            assert max(denominators) > 2**53
+
+    def test_empty(self):
+        assert analysis_module._exact_sums([], []) == ([], Fraction(0))
 
 
 class TestMagnitudeRecords:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expected import MU_TRI_10
+from fuzzing import mutated
 from trimobius import DivisibilityPoset, SequenceKind, mobius_one_var, oeis_diff
 from trimobius import bfile as bfile_module
 from trimobius.bfile import (
@@ -146,6 +147,36 @@ class TestParse:
         parsed = parse_bfile(format_bfile(terms, offset=offset))
         assert parsed.offset == offset
         assert parsed.terms() == terms
+
+
+def _parse_bfile_checked(text):
+    """parse_bfile(text) or None on ValueError; a parsed b-file round-trips."""
+    try:
+        parsed = parse_bfile(text)
+    except ValueError:
+        return None
+    assert parse_bfile(format_bfile(parsed.terms(), offset=parsed.offset)) == parsed
+    return parsed
+
+
+class TestParseInput:
+    @pytest.mark.parametrize(
+        "line", ["1 1_0", "1 +5", "+1 5", "1 \u0663", "\u0661 5", "1 --5", "1 5-", "1 0x5", "1 ５"]
+    )
+    def test_fields_are_ascii_decimals(self, line):
+        with pytest.raises(ValueError, match="non-integer field"):
+            parse_bfile(line + "\n")
+
+    def test_signs_and_leading_zeros(self):
+        assert parse_bfile("-1 -0\n0 007\n1 -12\n").lines == ((-1, 0), (0, 7), (1, -12))
+
+    @given(st.text())
+    def test_any_text(self, text):
+        _parse_bfile_checked(text)
+
+    @given(st.lists(st.integers(), min_size=1, max_size=20), st.integers(-3, 5), st.data())
+    def test_mutated_output(self, terms, offset, data):
+        _parse_bfile_checked(data.draw(mutated(format_bfile(terms, offset=offset))))
 
 
 class TestExport:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from expected import MOBIUS_TRI_10, ZETA_TRI_10
+from fuzzing import mutated
 from trimobius import (
     DivisibilityPoset,
     MobiusMatrix,
@@ -116,3 +117,67 @@ class TestDot:
     def test_parse_rejects_nodeless_text(self):
         with pytest.raises(ValueError):
             parse_dot("digraph {\n}\n")
+
+
+# DOT-like lines with ids from 0 to past the int64 range, and any other text
+_DOT_IDS = st.integers(0, 2**64).map(str)
+_DOT_LINES = st.one_of(
+    st.text(),
+    _DOT_IDS.map(lambda i: f"  {i};"),
+    st.tuples(_DOT_IDS, _DOT_IDS).map(lambda e: f"  {e[0]} -> {e[1]};"),
+)
+_DOT_POSETS = {kind: DivisibilityPoset(kind, 60) for kind in SequenceKind}
+
+
+def _parse_dot_checked(text):
+    """parse_dot(text) or None on ValueError; a parsed graph keeps the
+    HasseGraph invariants and, when small, round-trips."""
+    try:
+        graph = parse_dot(text)
+    except ValueError:
+        return None
+    edges = graph.edges
+    assert list(edges) == sorted(set(edges))
+    assert all(1 <= lower < upper <= graph.n_elements for lower, upper in edges)
+    if graph.n_elements <= 10_000:
+        assert parse_dot(hasse_to_dot(graph)) == graph
+    return graph
+
+
+class TestParseDotInput:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("digraph {\n  1;\n  1 -> 99999999999999999999;\n}", "outside 1.."),
+            ("digraph {\n  9223372036854775808;\n}", "outside 1.."),
+            ("digraph {\n  0;\n}", "outside 1.."),
+            ("digraph {\n  3;\n  5 -> 2;\n}", "not lower < upper <= 3"),
+            ("digraph {\n  3;\n  1 -> 4;\n}", "not lower < upper <= 3"),
+            ("digraph {\n  3;\n  2 -> 2;\n}", "not lower < upper <= 3"),
+            ("digraph {\n  3;\n  1 -> 2;\n  1 -> 2;\n}", "appears twice"),
+        ],
+    )
+    def test_rejects_hostile_text(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_dot(text)
+
+    def test_largest_id(self):
+        top = 2**63 - 1
+        graph = parse_dot(f"digraph {{\n  {top};\n  1 -> {top};\n}}")
+        assert graph.n_elements == top and graph.edges == ((1, top),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        _parse_dot_checked(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_DOT_LINES, max_size=12).map("\n".join))
+    def test_dot_like_lines(self, text):
+        _parse_dot_checked(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(SequenceKind)), st.integers(1, 60), st.data())
+    def test_mutated_output(self, kind, n, data):
+        text = hasse_to_dot(_DOT_POSETS[kind].hasse_edges(n))
+        _parse_dot_checked(data.draw(mutated(text)))
