@@ -174,7 +174,10 @@ def parse_bfile(text: str) -> BFile:
             raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
         if not all(map(_BFILE_INT.fullmatch, fields)):
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}")
-        n, value = int(fields[0]), int(fields[1])
+        try:
+            n, value = int(fields[0]), int(fields[1])
+        except ValueError:  # a field past the interpreter's limit on digits
+            raise ValueError(f"line {lineno}: a field is too long to convert") from None
         if pairs and n != pairs[-1][0] + 1:
             raise ValueError(
                 f"line {lineno}: index {n} not contiguous after {pairs[-1][0]}"
@@ -234,11 +237,10 @@ class DiffReport:
 def oeis_diff(reference: BFile, terms, offset: int = 1) -> DiffReport:
     """Compare computed terms (term k has index offset+k) against a b-file.
 
-    Reports the first disagreeing index, or confirms the full overlap.
-    An empty overlap is an error, not a vacuous match.  An ndarray of terms
-    is compared as Python ints.
+    Reports the first disagreeing index, or confirms the full overlap; an
+    empty overlap is an error, not a vacuous match.  terms is a list of ints
+    or an integer ndarray, of which only the overlap goes to Python ints.
     """
-    terms = terms.tolist() if isinstance(terms, np.ndarray) else list(terms)
     lo = max(reference.offset, offset)
     hi = min(reference.last_index, offset + len(terms) - 1)
     if hi < lo:
@@ -246,10 +248,10 @@ def oeis_diff(reference: BFile, terms, offset: int = 1) -> DiffReport:
             f"empty overlap: reference covers {reference.offset}..{reference.last_index}, "
             f"computed covers {offset}..{offset + len(terms) - 1}"
         )
-    ref_by_index = dict(reference.lines)
-    for n in range(lo, hi + 1):
-        expected = ref_by_index[n]
-        actual = terms[n - offset]
+    computed = terms[lo - offset : hi - offset + 1]
+    computed = computed.tolist() if isinstance(computed, np.ndarray) else computed
+    published = reference.terms()[lo - reference.offset : hi - reference.offset + 1]
+    for n, expected, actual in zip(range(lo, hi + 1), published, computed):
         if expected != actual:
             return DiffReport(
                 overlap_start=lo,

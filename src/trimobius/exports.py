@@ -52,6 +52,8 @@ _DOT_NODE = re.compile(r"^\s*([0-9]+)\s*;\s*$")
 
 def _dot_id(digits: str) -> int:
     """A node id of DOT text: 1..I64_MAX, as the HasseGraph arrays hold."""
+    if len(digits.lstrip("0")) > 19:  # before int(), which refuses 4,300 digits
+        raise ValueError(f"DOT node id of {len(digits)} digits is outside 1..{I64_MAX}")
     value = int(digits)
     if not 1 <= value <= I64_MAX:
         raise ValueError(f"DOT node id {digits} is outside 1..{I64_MAX}")

@@ -1,8 +1,8 @@
 """Mobius values of divisibility posets, by recursion and by exact matrix inversion.
 
-The recursion over the cached predecessor table is the production path; building
-the zeta matrix and inverting it stays in as an independent correctness
-oracle for moderate sizes.  Everything is exact integer arithmetic.
+The recursion over the cached predecessor table is the production path.  The
+dense inverse (n <= DENSE_CAP), product-checked, is the mobius-matrix and
+heatmap output and the tests' oracle for mu(m, n).  Exact integers throughout.
 """
 
 from __future__ import annotations

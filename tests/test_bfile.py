@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,12 @@ class TestParseInput:
         with pytest.raises(ValueError, match="non-integer field"):
             parse_bfile(line + "\n")
 
+    def test_field_past_the_digit_limit(self):
+        # int() refuses 4,300 digits and more, with a message of its own
+        with pytest.raises(ValueError) as exc:
+            parse_bfile("1 1\n2 5" + "0" * 5000 + "\n")
+        assert str(exc.value) == "line 2: a field is too long to convert"
+
     def test_signs_and_leading_zeros(self):
         assert parse_bfile("-1 -0\n0 007\n1 -12\n").lines == ((-1, 0), (0, 7), (1, -12))
 
@@ -240,3 +247,16 @@ class TestOeisDiff:
         snap = parse_bfile("5 1\n6 2\n")
         with pytest.raises(ValueError):
             oeis_diff(snap, [1, 2], offset=1)
+
+    def test_only_the_overlap_of_an_array_is_converted(self):
+        snap = bundled_snapshot("A351167")
+        terms = np.zeros(10**6, dtype=np.int64)
+        terms[:10] = snap.terms()
+        tracemalloc.start()
+        try:
+            report = oeis_diff(snap, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.matched and report.overlap_length == 10
+        assert peak < 1 << 20  # .tolist() of the whole array takes ~36 MB

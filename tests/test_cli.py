@@ -9,6 +9,7 @@ from trimobius import (
     MobiusVector,
     SequenceKind,
     SeriesReport,
+    ZetaMatrix,
     abs_sums,
     cli,
     mertens_tri,
@@ -16,6 +17,7 @@ from trimobius import (
     ratio_sums_index,
     ratio_sums_triangular,
 )
+from trimobius import poset as poset_module
 from trimobius.cli import main
 
 
@@ -342,9 +344,66 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.mobius, "mobius_one_var", altered)
         code, out, _ = run(capsys, "verify", "-n", "50")
         assert code == 1
+        assert out == f"FAIL: triangular: zero-sum broken at n={k}\n"
+
+    @pytest.mark.parametrize(
+        "dropped, lines",
+        [
+            # T(3) = 6 divides T(8) = 36; as mu_T(3) = 0, mu is unchanged
+            (3, ["predecessor row 8 differs"]),
+            # T(2) = 3 divides T(3) = 6; without it the recursion gives mu_T(3) = -1
+            (2, ["predecessor row 3 differs", "zero-sum broken at n=3"]),
+        ],
+    )
+    def test_reports_a_table_missing_an_element(self, capsys, monkeypatch, dropped, lines):
+        real = poset_module._triangular_hits
+
+        def hits(v):
+            positions, k = real(v)
+            keep = k != dropped
+            return positions[keep], k[keep]
+
+        monkeypatch.setattr(poset_module, "_triangular_hits", hits)
+        code, out, _ = run(capsys, "verify", "-n", "200")
+        assert code == 1
+        assert out == "".join(f"FAIL: triangular: {line}\n" for line in lines)
+
+    @pytest.mark.parametrize("i, j", [(2, 5), (4, 4), (7, 0)])
+    def test_reports_a_zeta_entry_off_the_relation(self, capsys, monkeypatch, i, j):
+        # above the diagonal, on it, and below it
+        real = cli.mobius.zeta_matrix
+
+        def flipped(poset, n):
+            z = real(poset, n).array.copy()
+            z[i, j] ^= 1
+            return ZetaMatrix(z)
+
+        monkeypatch.setattr(cli.mobius, "zeta_matrix", flipped)
+        code, out, _ = run(capsys, "verify", "-n", "30")
+        assert code == 1
         assert out == (
-            "FAIL: triangular: inversion and recursion disagree\n"
-            f"FAIL: triangular: zero-sum broken at n={k}\n"
+            f"FAIL: triangular: predecessor row {i + 1} differs\n"
+            f"FAIL: identity: predecessor row {i + 1} differs\n"
+        )
+
+    def test_refuses_zero_sums_that_could_wrap(self, capsys, monkeypatch):
+        # one |mu| = 2**62: a row of 50 such terms could leave int64, so no
+        # zero sum is taken, and none is reported broken
+        real = cli.mobius.mobius_one_var
+
+        def huge(poset, n=None):
+            vec = real(poset, n)
+            if poset.kind is not SequenceKind.TRIANGULAR:
+                return vec
+            values = vec.values.copy()
+            values[17] = -(2**62)
+            return MobiusVector(kind=vec.kind, values=values)
+
+        monkeypatch.setattr(cli.mobius, "mobius_one_var", huge)
+        code, out, _ = run(capsys, "verify", "-n", "50")
+        assert code == 1
+        assert out == (
+            f"FAIL: triangular: zero sums may reach {2**62 * 50}, beyond int64\n"
         )
 
 

@@ -161,6 +161,13 @@ class TestParseDotInput:
         with pytest.raises(ValueError, match=message):
             parse_dot(text)
 
+    def test_id_past_the_digit_limit(self):
+        # refused before int(), which refuses 4,300 digits and more
+        with pytest.raises(ValueError) as exc:
+            parse_dot("digraph {\n  1;\n  1 -> " + "9" * 5000 + ";\n}")
+        assert str(exc.value) == f"DOT node id of 5000 digits is outside 1..{2**63 - 1}"
+        assert parse_dot("digraph {\n  " + "0" * 30 + "5;\n}").n_elements == 5
+
     def test_largest_id(self):
         top = 2**63 - 1
         graph = parse_dot(f"digraph {{\n  {top};\n  1 -> {top};\n}}")
