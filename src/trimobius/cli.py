@@ -223,7 +223,7 @@ def cmd_mobius_matrix(args) -> int:
 
 def cmd_hasse(args) -> int:
     poset = DivisibilityPoset(_kind(args), args.limit)
-    _emit([exports.hasse_to_dot(poset.hasse_edges(args.limit))], args.out)
+    _emit(exports.dot_pieces(poset.hasse_edges(args.limit)), args.out)
     return 0
 
 
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             kind=False, fmt=_SERIES)
     p.add_argument("--series", choices=["mobius", "mertens"], default="mobius")
     add("verify", cmd_verify, "internal consistency checks (default n=200)",
-        out=False)
+        kind=False, out=False)
     p = add("oeis-diff", cmd_oeis_diff, "compare against an OEIS b-file", out=False)
     p.add_argument("--series", choices=["mobius", "sums"], default="mobius")
     p.add_argument("--bfile", metavar="PATH", default=None,

@@ -23,27 +23,34 @@ def export_matrix_csv(matrix, path) -> None:
     Path(path).write_text(matrix_to_csv(matrix), encoding="ascii")
 
 
-def hasse_to_dot(graph: HasseGraph) -> str:
-    """DOT digraph of the covering relations, edges written lower -> upper.
+def dot_pieces(graph: HasseGraph):
+    """DOT digraph of the covering relations, edges written lower -> upper, in pieces.
 
     rankdir=BT keeps covers pointing upward when rendered, the usual Hasse
     convention.  Every element gets a node line, so isolated elements
     survive a round trip.  The node and edge lines are integer columns
-    written by decimal_blocks.
+    written by decimal_blocks, a block per piece.
     """
-    out = ["digraph hasse {\n  rankdir=BT;\n"]
+    yield "digraph hasse {\n  rankdir=BT;\n"
     if graph.n_elements:
-        nodes = range(1, graph.n_elements + 1)
-        out += ["  ", *decimal_blocks([nodes], "", ";\n  ", joined=True), ";\n"]
+        yield "  "
+        yield from decimal_blocks([range(1, graph.n_elements + 1)], "", ";\n  ", joined=True)
+        yield ";\n"
     if len(graph.lower):
-        edges = [graph.lower, graph.upper]
-        out += ["  ", *decimal_blocks(edges, " -> ", ";\n  ", joined=True), ";\n"]
-    out.append("}\n")
-    return "".join(out)
+        yield "  "
+        yield from decimal_blocks([graph.lower, graph.upper], " -> ", ";\n  ", joined=True)
+        yield ";\n"
+    yield "}\n"
+
+
+def hasse_to_dot(graph: HasseGraph) -> str:
+    """The text of dot_pieces as one str."""
+    return "".join(dot_pieces(graph))
 
 
 def export_dot(graph: HasseGraph, path) -> None:
-    Path(path).write_text(hasse_to_dot(graph), encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(dot_pieces(graph))
 
 
 _DOT_EDGE = re.compile(r"^\s*([0-9]+)\s*->\s*([0-9]+)\s*;\s*$")

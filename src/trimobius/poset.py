@@ -158,9 +158,7 @@ class DivisibilityPoset:
     def value(self, i: int) -> int:
         """Sequence value of element i (range-checked)."""
         self._check_index(i)
-        if self.kind is SequenceKind.TRIANGULAR:
-            return i * (i + 1) // 2
-        return i
+        return sequence_value(self.kind, i)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.max_index:
@@ -227,37 +225,62 @@ class DivisibilityPoset:
     def hasse_edges(self, n: int) -> HasseGraph:
         """Exactly the covering pairs among elements 1..n.
 
-        A predecessor z of j is covered away exactly when it is also a
-        predecessor of some other predecessor of j.  Per block of rows, the
-        entries (j, z) have ascending keys j*(n+1) + z; every two-hop path
-        i < z < j gives the key j*(n+1) + i, which by transitivity is an
-        entry of the same block, so a binary search marks it.  The unmarked
+        A predecessor z of j is covered away exactly when z is covered by
+        some predecessor w of j: if z < y < j, the element covering z on a
+        maximal chain from z up to y lies in row j.  So each entry (j, w)
+        gathers only w's cover row, the edges already found with upper w,
+        kept in a CSR by upper (cptr, cover) that grows in place.  Rows go
+        in runs lo..hi of at most _K_BLOCK rows that end just before the
+        first row whose last entry is >= lo, so every cover row a run reads
+        is final.  Within a run the entries (j, z) have ascending keys
+        j*(n+1) + z, and a binary search marks each gathered c by the key
+        j*(n+1) + c, an entry of row j by transitivity.  The unmarked
         entries are the covers.
         """
         self._check_index(n)
         table = self.predecessor_table(n)
-        indptr, indices = table.indptr, table.indices
-        lengths = np.diff(indptr[: n + 2])
-        lowers, uppers = [], []
-        for lo in range(2, n + 1, _K_BLOCK):
+        indptr, indices = table.indptr[: n + 2], table.indices
+        cptr = np.zeros(n + 2, dtype=np.int64)
+        cover = np.zeros(0, dtype=np.int32)
+        size = 0
+        lo = 2
+        while lo <= n:
             hi = min(lo + _K_BLOCK - 1, n)
-            z = indices[indptr[lo] : indptr[hi + 1]]
-            j = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), lengths[lo : hi + 1])
-            key = j * (n + 1) + z
-            # row z of the table, gathered once per entry (j, z)
-            hops = lengths[z]
-            start = np.repeat(indptr[z] - (np.cumsum(hops) - hops), hops)
-            below = indices[start + np.arange(len(start), dtype=np.int64)]
-            covered = np.zeros(len(key), dtype=bool)
-            covered[np.searchsorted(key, np.repeat(key - z, hops) + below)] = True
-            lowers.append(z[~covered])
-            uppers.append(j[~covered].astype(np.int32))
-        lower = np.concatenate([np.zeros(0, dtype=np.int32), *lowers])
-        upper = np.concatenate([np.zeros(0, dtype=np.int32), *uppers])
-        # the blocks list the edges by upper; a stable sort by lower finishes
-        # the lexicographic order
-        order = np.argsort(lower, kind="stable")
-        return HasseGraph(n, lower[order], upper[order])
+            reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
+            if reads_lo.any():
+                hi = lo + int(reads_lo.argmax())
+            starts = indptr[lo : hi + 2]
+            z = indices[starts[0] : starts[-1]]
+            base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(starts))
+            base *= n + 1  # the key of entry (j, z) is base + z = j*(n+1) + z
+            # the cover row of z, gathered once per entry (j, z)
+            first = cptr[z]
+            hops = cptr[z + 1] - first
+            start = np.repeat(first - (np.cumsum(hops) - hops), hops)
+            below = cover[start + np.arange(len(start), dtype=np.int64)]
+            keep = np.ones(len(z), dtype=bool)
+            keep[np.searchsorted(base + z, np.repeat(base, hops) + below)] = False
+            kept = z[keep]
+            if size + len(kept) > len(cover):
+                cover.resize(size + len(kept) + size // 4, refcheck=False)
+            cover[size : size + len(kept)] = kept
+            # every row holds a cover, so no reduceat segment is empty
+            per_row = np.add.reduceat(keep, starts[:-1] - starts[0], dtype=np.int64)
+            cptr[lo + 1 : hi + 2] = size + np.cumsum(per_row)
+            size += len(kept)
+            lo = hi + 1
+        upper = np.repeat(np.arange(n + 1, dtype=np.int32), np.diff(cptr))
+        del cptr
+        # one sort of the packed keys lower << 32 | upper puts the edges,
+        # listed by upper, in lexicographic order
+        key = cover[:size].astype(np.int64)
+        del cover
+        key <<= 32
+        key |= upper
+        key.sort()
+        upper = key.astype(np.int32)  # the low 32 bits
+        key >>= 32
+        return HasseGraph(n, key.astype(np.int32), upper)
 
 
 # Segment sizes for the triangular builder.  A block of k shares one pair of

@@ -16,7 +16,8 @@ from trimobius import (
     zeta_matrix,
 )
 from trimobius import bfile
-from trimobius.exports import export_dot, export_matrix_csv, parse_dot
+from trimobius.cli import main
+from trimobius.exports import dot_pieces, export_dot, export_matrix_csv, parse_dot
 
 
 class TestMatrixCsv:
@@ -107,6 +108,18 @@ class TestDot:
                 lines += [f"  {k};" for k in range(1, n + 1)]
                 lines += [f"  {i} -> {j};" for i, j in graph.edges]
                 assert hasse_to_dot(graph) == "\n".join(lines) + "\n}\n", (kind, n)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_pieces_file_and_cli_equal_the_text(self, kind, tmp_path, capsys, monkeypatch):
+        # blocks of 7 rows, so the pieces cross many block boundaries
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        graph = DivisibilityPoset(kind, 3000).hasse_edges(3000)
+        text = hasse_to_dot(graph)
+        assert "".join(dot_pieces(graph)) == text
+        export_dot(graph, tmp_path / "h.dot")
+        assert (tmp_path / "h.dot").read_text(encoding="ascii") == text
+        assert main(["hasse", "--kind", kind.value, "-n", "3000"]) == 0
+        assert capsys.readouterr().out == text
 
     def test_file_round_trip(self, tri_poset, tmp_path):
         graph = tri_poset.hasse_edges(20)

@@ -5,10 +5,12 @@ N = 60 (props: --max-n 60) under every combination of its options that
 take choices, with the --format default as one more choice, and with and
 without each on/off flag.  A case without a pinned digest fails, so a new
 format or choice must come with its digest; USAGE_ERROR marks the cases
-that exit 2 with a one-line error.  LARGE pins a few integer series at
-N well past 60, where every decimal width of the index column and the
-block boundaries of the decimal writer are crossed, and both ratio series
-at N = 20,000, past the exact prefix of 10,000 into the compensated tail.
+that exit 2: with a one-line error, or, for the REFUSED options that a
+subcommand does not take, with argparse's message.  LARGE pins a few
+integer series at N well past 60, where every decimal width of the index
+column and the block boundaries of the decimal writer are crossed, and
+both ratio series at N = 20,000, past the exact prefix of 10,000 into the
+compensated tail.
 """
 
 from __future__ import annotations
@@ -51,7 +53,11 @@ def _cases() -> list[list[str]]:
     return cases
 
 
-CASES = _cases()
+# Options that a subcommand does not take, which argparse refuses: verify
+# always checks both kinds.
+REFUSED = [["verify", "--limit", N, "--kind", kind] for kind in ("triangular", "identity")]
+
+CASES = _cases() + REFUSED
 
 GOLDEN: dict[str, str] = {
     "mobius --limit 60 --kind triangular":
@@ -223,10 +229,10 @@ GOLDEN: dict[str, str] = {
     "classical --limit 60 --format svg --series mobius": USAGE_ERROR,
     "classical --limit 60 --format svg --series mertens":
         "ced4edc353f0a500ce8773360cfee0e0c67c3516682801a82544cfa58fcfa798",
-    "verify --limit 60 --kind triangular":
+    "verify --limit 60":
         "a12b7cb43c9d9134b5bb1b35e9096b66775d9e92e7611d1cc92b02edd6782a87",
-    "verify --limit 60 --kind identity":
-        "a12b7cb43c9d9134b5bb1b35e9096b66775d9e92e7611d1cc92b02edd6782a87",
+    "verify --limit 60 --kind triangular": USAGE_ERROR,
+    "verify --limit 60 --kind identity": USAGE_ERROR,
     "oeis-diff --limit 60 --kind triangular --series mobius":
         "caaaf84f06dfced68fb56301de6c10ce06077cf8b15b5301e28ef2884f073545",
     "oeis-diff --limit 60 --kind triangular --series sums":
@@ -240,6 +246,13 @@ GOLDEN: dict[str, str] = {
 def test_stdout_digest(argv, capsys):
     key = " ".join(argv)
     assert key in GOLDEN, f"no pinned digest for {key!r}"
+    if argv in REFUSED:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert GOLDEN[key] == USAGE_ERROR and exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[3:])}\n")
+        return
     code = main(argv)
     out, err = capsys.readouterr()
     if GOLDEN[key] == USAGE_ERROR:

@@ -493,6 +493,39 @@ class TestHasseEdges:
             expected = [i for i in poset.strict_predecessors_trial(j) if poset.covers(i, j)]
             assert found == expected, j
 
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_smaller_n_on_a_larger_cached_table(self, kind):
+        poset = DivisibilityPoset(kind, 3000)
+        poset.predecessor_table(3000)
+        for n in (2, 3, 4, 7, 8, 100, 2047, 2999):
+            assert poset.hasse_edges(n) == DivisibilityPoset(kind, n).hasse_edges(n), n
+
+    def test_sampled_rows_match_the_relation_1e5(self, tri_poset_1e5):
+        n = 100_000
+        poset = tri_poset_1e5
+        graph = poset.hasse_edges(n)
+        # the rows where a run of hasse_edges stops short of _K_BLOCK rows:
+        # the first row whose last predecessor is at or past the run's start
+        table = poset.predecessor_table(n)
+        last = np.zeros(n + 1, dtype=np.int64)
+        last[2:] = table.indices[table.indptr[3 : n + 2] - 1]
+        cuts, lo = [], 2
+        while lo <= n:
+            hi = min(lo + poset_module._K_BLOCK - 1, n)
+            late = np.flatnonzero(last[lo + 1 : hi + 1] >= lo)
+            if len(late):
+                hi = lo + int(late[0])
+                cuts.append(hi + 1)
+            lo = hi + 1
+        rng = random.Random(1972)
+        rows = rng.sample(cuts, 4) + rng.sample(range(2, n + 1), 6)
+        for j in rows:
+            # the check reads no table: z is a cover of j unless a larger
+            # predecessor of j sits above it
+            preds = poset.strict_predecessors_trial(j)
+            expected = [z for z in preds if not any(poset.leq(z, w) for w in preds if w > z)]
+            assert graph.lower[graph.upper == j].tolist() == expected, j
+
     def test_identity_edges_are_prime_multiples_5e4(self):
         # j covers i in the divisor lattice exactly when j = i*p, p prime;
         # the primes come from a sieve that never reads the table
