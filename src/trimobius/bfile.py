@@ -5,9 +5,10 @@ decimal, indices contiguous and ascending.  Snapshots of the two submitted
 sequences ship with the package so comparisons work offline; fuller
 b-files downloaded from oeis.org can be passed in by path.
 
-decimal_blocks is the one writer of integer arrays as text: the b-file here
-(through decimal_rows), the DOT and matrix CSV of exports, and the CLI's
-series CSV and JSON arrays all use it.
+decimal_blocks is the one writer of integer arrays as text: the b-file here,
+the DOT and matrix CSV of exports, and the CLI's series CSV and JSON arrays
+all use it.  Its kernel also writes the "{:.2f}" coordinates of svg, through
+fixed_text.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ def _magnitudes(block):
     return mag, neg
 
 
-def _put_digits(mag, cells, kept) -> None:
+def _put_digits(mag, cells, kept, always: int = 1) -> None:
     """The decimal digits of mag, right-aligned in cells; kept drops leading zeros.
 
-    cells and kept have one row per digit position; mag is used up.
+    cells and kept have one row per digit position; the last always
+    positions are kept even when zero.  mag is used up.
     """
     quot, rem = np.empty_like(mag), np.empty_like(mag)
     for j in range(len(cells) - 1, -1, -1):
-        if j < len(cells) - 1:
+        if j < len(cells) - always:
             np.greater(mag, 0, out=kept[j])
         np.floor_divide(mag, 10, out=quot)
         np.multiply(quot, 10, out=rem)
@@ -73,18 +75,21 @@ def _put_digits(mag, cells, kept) -> None:
         mag, quot = quot, mag
 
 
-def _block_text(columns, sep: str, end: str) -> np.ndarray:
+def _block_text(columns, sep: str, end: str, frac: int = 0) -> np.ndarray:
     """ASCII bytes of one block of rows, given each column's slice as an array.
 
     Each row is laid out in fixed-width cells (per column a sign cell and
     as many digit cells as its widest value needs, then sep or end); the
-    cells that are text are then taken in row-major order.  columns is
-    used up: each column is dropped once its magnitudes are made, so a
-    block holds those of one column at a time.
+    cells that are text are then taken in row-major order.  With frac > 0
+    each column holds its values times 10**frac, written with a point and
+    frac digits after it.  columns is used up: each column is dropped once
+    its magnitudes are made, so a block holds those of one column at a time.
     """
-    widths = [len(str(max(-int(col.min()), int(col.max())))) for col in columns]
+    unit = 10**frac
+    widths = [len(str(max(-int(col.min()), int(col.max())) // unit)) for col in columns]
     literals = [sep] * (len(columns) - 1) + [end]
-    width = sum(widths) + len(columns) + sum(map(len, literals))
+    point = frac + 1 if frac else 0  # the point and the fraction digits
+    width = sum(widths) + len(columns) * (1 + point) + sum(map(len, literals))
     chars = np.empty((len(columns[0]), width), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     cells, kept = chars.T, keep.T  # one row per cell position
@@ -93,8 +98,12 @@ def _block_text(columns, sep: str, end: str) -> np.ndarray:
         mag, neg = _magnitudes(columns.pop(0))
         cells[at] = ord("-")
         kept[at] = neg
-        _put_digits(mag, cells[at + 1 : at + 1 + digits], kept[at + 1 : at + 1 + digits])
-        at += 1 + digits
+        dot = at + 1 + digits
+        _put_digits(mag, cells[at + 1 : dot + frac], kept[at + 1 : dot + frac], frac + 1)
+        if frac:  # the fraction digits one cell right, after the point
+            cells[dot + 1 : dot + 1 + frac] = cells[dot : dot + frac]
+            cells[dot] = ord(".")
+        at = dot + point
         cells[at : at + len(literal)] = np.frombuffer(literal.encode("ascii"), np.uint8)[:, None]
         at += len(literal)
     return chars[keep]
@@ -125,11 +134,50 @@ def decimal_rows(columns, sep: str, end: str, joined: bool = False) -> str:
     return "".join(decimal_blocks(columns, sep, end, joined))
 
 
-def format_bfile(terms, offset: int = 1) -> str:
-    """Render terms as b-file text: "n value\\n" per line, nothing else.
+# fixed_text writes the digits of v * 100 rounded by np.rint when v * 100 is
+# below _FIXED_LIMIT in magnitude, where its rounding error is at most
+# 2**-23, and farther than _TIE_MARGIN from a tie, so that it rounds as the
+# exact v * 100 does.
+_FIXED_LIMIT = 2.0**31
+_TIE_MARGIN = 2.0**-20
 
-    An integer ndarray is written by decimal_rows.  Any other iterable must
-    hold Python ints, the only values that may exceed 64 bits.
+
+def fixed_text(columns, sep: str, end: str) -> str:
+    """Rows of float64 columns as text, each value as format(v, ".2f").
+
+    Per row, the values joined by sep, then end.  The digits come from
+    _block_text.  A row holding a value it cannot decide (not finite, too
+    large, near a tie, or negative but rounding to zero, which Python
+    writes as "-0.00") is written by Python's format instead; an exact tie
+    such as 0.125 is one of these.
+    """
+    n = len(columns[0])
+    slow = np.zeros(n, dtype=bool)
+    scaled = []
+    with np.errstate(invalid="ignore"):  # inf - inf in a row that goes to Python
+        for col in columns:
+            s = col * 100.0
+            r = np.rint(s)
+            slow |= ~(np.abs(s) < _FIXED_LIMIT) | (np.abs(s - r) > 0.5 - _TIE_MARGIN)
+            slow |= (r == 0) & np.signbit(col)
+            scaled.append(r)
+    ints = [np.where(slow, 0, r).astype(np.int64) for r in scaled]
+    pieces, lo = [], 0
+    for i in [*np.flatnonzero(slow).tolist(), n]:
+        if lo < i:
+            pieces.append(str(_block_text([c[lo:i] for c in ints], sep, end, 2), "ascii"))
+        if i < n:
+            pieces.append(sep.join(format(float(c[i]), ".2f") for c in columns) + end)
+        lo = i + 1
+    return "".join(pieces)
+
+
+def bfile_pieces(terms, offset: int = 1):
+    """The b-file text of terms, "n value\\n" per line, as an iterable of pieces.
+
+    An integer ndarray is written by decimal_blocks, a block of lines per
+    piece.  Any other iterable must hold Python ints, the only values that
+    may exceed 64 bits.  The terms are checked here, before any piece is made.
     """
     is_array = isinstance(terms, np.ndarray)
     if not is_array:
@@ -141,17 +189,24 @@ def format_bfile(terms, offset: int = 1) -> str:
             raise TypeError(
                 f"b-file values must be exact integers, got a {terms.dtype} array"
             )
-        return decimal_rows([range(offset, offset + len(terms)), terms], " ", "\n")
+        return decimal_blocks([range(offset, offset + len(terms)), terms], " ", "\n")
     types = set(map(type, terms))
     if bool in types or not all(issubclass(tp, int) for tp in types):
         bad = next(t for t in terms if isinstance(t, bool) or not isinstance(t, int))
         raise TypeError(f"b-file values must be exact integers, got {bad!r}")
-    return "".join([f"{k} {t}\n" for k, t in zip(range(offset, offset + len(terms)), terms)])
+    return map("{} {}\n".format, range(offset, offset + len(terms)), terms)
+
+
+def format_bfile(terms, offset: int = 1) -> str:
+    """The text of bfile_pieces as one str."""
+    return "".join(bfile_pieces(terms, offset))
 
 
 def export_bfile(terms, path, offset: int = 1) -> None:
     """Write terms to path in b-file format."""
-    Path(path).write_text(format_bfile(terms, offset=offset), encoding="ascii")
+    pieces = bfile_pieces(terms, offset)  # checks the terms before the file is made
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(pieces)
 
 
 # A b-file field: an optional minus sign and ASCII digits, nothing else that

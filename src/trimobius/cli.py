@@ -133,26 +133,34 @@ def _records_json(table: analysis.MagnitudeRecordTable) -> list[str]:
     return [json.dumps({"signed": table.signed, "rows": rows}, indent=2) + "\n"]
 
 
+def _terms_json(payload):
+    """The payload as json.dumps writes it, plus a newline, in pieces.
+
+    "values", the payload's last key, is written a block at a time by
+    bfile.decimal_blocks; the other fields go through json.
+    """
+    head = json.dumps({**payload, "values": []})
+    yield head[: -len("]}")]
+    yield from bfile.decimal_blocks([payload["values"]], "", ", ", joined=True)
+    yield "]}\n"
+
+
 # One table per output shape: --format -> writer of the value's text, as an
-# iterable of pieces that _emit writes in order.  The writers look
-# serializers up when called, so a wrapper installed on the module
-# attribute (as the benchmark's tracer does) still sees each call.
+# iterable of pieces that _emit writes in order.
 _SERIES = {
-    "bfile": lambda report: [bfile.format_bfile(report.ys)],
+    "bfile": lambda report: bfile.bfile_pieces(report.ys),
     "csv": _series_csv,
     "json": _series_json,
-    "svg": lambda report: [svg.svg_line_chart(report)],
+    "svg": svg.line_chart_pieces,
 }
 # Ratio series hold floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
 # Integer terms arrive as their JSON payload, with the int64 or int8 array
-# of the terms under "values"; JSON gets them as a list of Python ints.
+# of the terms under "values", its last key.
 _TERMS = {
-    "bfile": lambda payload: [bfile.format_bfile(payload["values"])],
+    "bfile": lambda payload: bfile.bfile_pieces(payload["values"]),
     "csv": lambda payload: _index_csv(payload["values"]),
-    "json": lambda payload: [
-        json.dumps({**payload, "values": payload["values"].tolist()}) + "\n"
-    ],
+    "json": _terms_json,
 }
 _MATRIX = {
     "csv": lambda matrix: [exports.matrix_to_csv(matrix)],

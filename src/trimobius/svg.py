@@ -6,10 +6,12 @@ keep the output byte-deterministic, which the golden tests rely on.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import bfile
 from .analysis import SeriesReport
 
 _GRAY = (217, 217, 217)
@@ -35,6 +37,11 @@ def heat_color(value, max_abs) -> str:
     return "#%02x%02x%02x" % rgb
 
 
+def _escape(text: str) -> str:
+    """text with &, < and > as XML character entities, for element content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _scale(values, lo, hi, px_lo, px_hi):
     """Pixel coordinates of a value or an array of values on the axis lo..hi.
 
@@ -47,42 +54,44 @@ def _scale(values, lo, hi, px_lo, px_hi):
     return px_lo + (values - lo) * (px_hi - px_lo) / (hi - lo)
 
 
-def svg_line_chart(series: SeriesReport) -> str:
-    """Standalone SVG line chart with axes and the series name as title."""
+def line_chart_pieces(series: SeriesReport):
+    """Standalone SVG line chart with axes and the series name as title, in pieces.
+
+    The series is checked and the head made here; the polyline points then
+    come _POINT_CHUNK at a time, each chunk's pixel coordinates scaled and
+    written by bfile.fixed_text as "{:.2f}" would.
+    """
     n = len(series)
     if not n:
         raise ValueError("empty series")
-    ys = np.asarray(series.ys, dtype=np.float64)
+    ys = series.ys
+    if not isinstance(ys, np.ndarray):
+        ys = np.asarray(ys, dtype=np.float64)  # Python ints, Fractions or floats
     xmin, xmax = 1, n
+    # float64 conversion is monotonic, so these are the extremes of the
+    # float64 values, and the chunks convert one at a time
     ymin, ymax = float(ys.min()), float(ys.max())
     px_l, px_r = _MARGIN_L, _CHART_W - _MARGIN_R
     px_t, px_b = _MARGIN_T, _CHART_H - _MARGIN_B
+    name = _escape(series.name)
 
-    px = _scale(np.arange(1, n + 1), xmin, xmax, px_l, px_r)
-    py = _scale(ys, ymin, ymax, px_b, px_t)
-    # formatted a chunk at a time: no list of every point's floats or text
-    c = _POINT_CHUNK
-    points = " ".join(
-        " ".join(map("{:.2f},{:.2f}".format, px[i : i + c].tolist(), py[i : i + c].tolist()))
-        for i in range(0, n, c)
-    )
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_CHART_W} {_CHART_H}">\n',
-        f'<title>{series.name}</title>\n',
+        f'<title>{name}</title>\n',
         f'<rect x="0" y="0" width="{_CHART_W}" height="{_CHART_H}" fill="white"/>\n',
         f'<text x="{_CHART_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="16">{series.name}</text>\n',
+        f'font-family="monospace" font-size="16">{name}</text>\n',
         # axes
         f'<line x1="{px_l}" y1="{px_t}" x2="{px_l}" y2="{px_b}" stroke="black"/>\n',
         f'<line x1="{px_l}" y1="{px_b}" x2="{px_r}" y2="{px_b}" stroke="black"/>\n',
     ]
     if ymin < 0 < ymax:
         zero_y = _scale(0.0, ymin, ymax, px_b, px_t)
-        parts.append(
+        head.append(
             f'<line x1="{px_l}" y1="{zero_y:.2f}" x2="{px_r}" y2="{zero_y:.2f}" '
             f'stroke="gray" stroke-dasharray="4 3"/>\n'
         )
-    parts += [
+    head += [
         f'<text x="{px_l}" y="{px_b + 18}" font-family="monospace" font-size="12" '
         f'text-anchor="middle">{xmin}</text>\n',
         f'<text x="{px_r}" y="{px_b + 18}" font-family="monospace" font-size="12" '
@@ -91,14 +100,32 @@ def svg_line_chart(series: SeriesReport) -> str:
         f'text-anchor="end">{ymin:.6g}</text>\n',
         f'<text x="{px_l - 6}" y="{px_t + 4}" font-family="monospace" font-size="12" '
         f'text-anchor="end">{ymax:.6g}</text>\n',
-        f'<polyline fill="none" stroke="#1f4e9c" stroke-width="1" points="{points}"/>\n',
-        "</svg>\n",
+        '<polyline fill="none" stroke="#1f4e9c" stroke-width="1" points="',
     ]
-    return "".join(parts)
+    return chain(["".join(head)], _points(ys, ymin, ymax), ['"/>\n</svg>\n'])
+
+
+def _points(ys, ymin, ymax):
+    """The polyline's "x,y" pairs, space-separated, a chunk of points per piece."""
+    n = len(ys)
+    for lo in range(0, n, _POINT_CHUNK):
+        hi = min(lo + _POINT_CHUNK, n)
+        px = _scale(np.arange(lo + 1, hi + 1), 1, n, _MARGIN_L, _CHART_W - _MARGIN_R)
+        py = _scale(np.asarray(ys[lo:hi], dtype=np.float64), ymin, ymax,
+                    _CHART_H - _MARGIN_B, _MARGIN_T)
+        text = bfile.fixed_text([px, py], ",", " ")
+        yield text if hi < n else text[:-1]
+
+
+def svg_line_chart(series: SeriesReport) -> str:
+    """The text of line_chart_pieces as one str."""
+    return "".join(line_chart_pieces(series))
 
 
 def render_svg_plot(series: SeriesReport, path) -> None:
-    Path(path).write_text(svg_line_chart(series), encoding="ascii")
+    pieces = line_chart_pieces(series)  # checks the series before the file is made
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(pieces)
 
 
 def svg_heatmap(matrix, title: str) -> str:
@@ -114,7 +141,7 @@ def svg_heatmap(matrix, title: str) -> str:
     max_abs = max(int(entries.max()), -int(entries.min()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}">\n',
-        f"<title>{title}</title>\n",
+        f"<title>{_escape(title)}</title>\n",
         f'<rect x="0" y="0" width="{side}" height="{side}" '
         f'fill="#%02x%02x%02x"/>\n' % _GRAY,
     ]

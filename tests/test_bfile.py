@@ -15,6 +15,7 @@ from trimobius.bfile import (
     decimal_blocks,
     decimal_rows,
     export_bfile,
+    fixed_text,
     format_bfile,
     load_bfile,
     parse_bfile,
@@ -123,6 +124,52 @@ class TestDecimalRows:
             format_bfile(np.array([], dtype=np.int64))
 
 
+def _check_fixed(values):
+    """fixed_text of one float64 column against format(v, ".2f") per value."""
+    values = np.asarray(values, dtype=np.float64)
+    expected = "".join(format(v, ".2f") + "\n" for v in values.tolist())
+    assert fixed_text([values], "", "\n") == expected
+
+
+class TestFixedText:
+    """fixed_text against Python's "{:.2f}" of the same floats."""
+
+    def test_seeded_uniform(self):
+        rng = np.random.default_rng(17)
+        _check_fixed(rng.uniform(0, 1000, 200_000))
+        _check_fixed(rng.uniform(-1000, 1000, 20_000))
+
+    def test_dyadic_ties(self):
+        # k / 8 is exact in float64; every odd k / 8 is a tie at the cents
+        ties = np.arange(-8 * 1000, 8 * 1000 + 1) / 8
+        _check_fixed(ties)
+
+    def test_neighbours_of_half_cents(self):
+        half_cents = (np.arange(0, 100_000) + 0.5) / 100
+        _check_fixed(np.nextafter(half_cents, np.inf))
+        _check_fixed(np.nextafter(half_cents, -np.inf))
+        _check_fixed(-np.nextafter(half_cents, np.inf))
+
+    def test_carries_into_a_new_digit(self):
+        for top in (0.995, 9.995, 99.995, 999.995, 9999.995, 99999.995):
+            around = [np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)]
+            _check_fixed([*around, top + 0.004, top - 0.004, -top])
+
+    def test_values_python_decides(self):
+        _check_fixed([np.nan, np.inf, -np.inf, -0.0, 0.0, -0.004, -0.005, -0.006, 5e-324,
+                      2.0**31 / 100, 1e10, -1e300, 21474836.475])
+
+    def test_rows_mix_the_kernel_and_python(self):
+        xs = np.array([1.0, 0.125, 3.14159, -0.001, 12.5, np.nan, 99.999])
+        ys = xs[::-1].copy()
+        expected = "".join(f"{x:.2f},{y:.2f} " for x, y in zip(xs.tolist(), ys.tolist()))
+        assert fixed_text([xs, ys], ",", " ") == expected
+
+    @given(st.lists(st.floats(0, 1e4, exclude_max=True), min_size=1, max_size=50))
+    def test_any_value_below_1e4(self, values):
+        _check_fixed(values)
+
+
 class TestParse:
     def test_skips_comments_and_blanks(self):
         parsed = parse_bfile("# header\n\n1 4\n2 5\n")
@@ -192,6 +239,21 @@ class TestExport:
         export_bfile([1, -1, 0], path)
         assert path.read_text() == "1 1\n2 -1\n3 0\n"
         assert load_bfile(path).terms() == [1, -1, 0]
+
+    def test_array_is_streamed_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bfile_module, "_BLOCK_ROWS", 7)
+        values = np.arange(-10, 10, dtype=np.int64) ** 3
+        assert len(list(bfile_module.bfile_pieces(values))) == 3
+        path = tmp_path / "b.txt"
+        export_bfile(values, path, offset=0)
+        assert path.read_text() == format_bfile(values.tolist(), offset=0)
+
+    def test_bad_terms_leave_no_file(self, tmp_path):
+        path = tmp_path / "b.txt"
+        for bad in ([], [1, 2.5], np.array([1.0])):
+            with pytest.raises((ValueError, TypeError)):
+                export_bfile(bad, path)
+        assert not path.exists()
 
 
 class TestBundledSnapshots:

@@ -6,16 +6,21 @@ import pytest
 
 from expected import MU_TRI_10
 from trimobius import (
+    DivisibilityPoset,
     MobiusVector,
     SequenceKind,
     SeriesReport,
     ZetaMatrix,
     abs_sums,
+    bfile,
+    classical_mertens,
+    classical_mobius,
     cli,
     mertens_tri,
     mobius_one_var,
     ratio_sums_index,
     ratio_sums_triangular,
+    svg,
 )
 from trimobius import poset as poset_module
 from trimobius.cli import main
@@ -187,6 +192,36 @@ class TestEmit:
             path = tmp_path / "out.txt"
             assert code == 0 and main([*argv, "--out", str(path)]) == 0
             assert path.read_text(encoding="utf-8") == out and out
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 4095, 4096, 4097])
+    def test_streams_equal_the_whole_output(self, capsys, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(svg, "_POINT_CHUNK", 7)
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        mu = {kind: mobius_one_var(DivisibilityPoset(kind, n), n) for kind in SequenceKind}
+        tri = mu[SequenceKind.TRIANGULAR]
+        classical = classical_mobius(n)
+        expected = {
+            "sums --format svg": svg.svg_line_chart(mertens_tri(tri)),
+            "abs-sums --format svg": svg.svg_line_chart(abs_sums(tri)),
+            "ratio-sums --format svg": svg.svg_line_chart(ratio_sums_index(tri)),
+            # the list path writes each line with str.format
+            "sums --format bfile": bfile.format_bfile(mertens_tri(tri).ys.tolist()),
+            "abs-sums --format bfile": bfile.format_bfile(abs_sums(tri).ys.tolist()),
+            "classical --series mertens --format bfile":
+                bfile.format_bfile(classical_mertens(classical).ys.tolist()),
+            "classical --series mobius --format json":
+                json.dumps({"values": classical.values[1:].tolist()}) + "\n",
+        }
+        for kind, vec in mu.items():
+            payload = {"kind": kind.value, "values": vec.values[1:].tolist()}
+            expected[f"mobius --kind {kind.value} --format json"] = json.dumps(payload) + "\n"
+        path = tmp_path / "out.txt"
+        for command, text in expected.items():
+            argv = [*command.split(), "-n", str(n)]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out == text, command
+            assert main([*argv, "--out", str(path)]) == 0
+            assert path.read_text(encoding="utf-8") == text, command
 
     def test_ratio_csv_rows(self, monkeypatch):
         report = ratio_sums_index(MobiusVector(SequenceKind.IDENTITY, np.array([0, 1, -1, -1, 0])))

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +12,18 @@ from trimobius import (
     SeriesReport,
     SequenceKind,
     abs_sums,
+    classical_mertens,
     classical_mobius,
     invert_zeta,
     mertens_tri,
     mobius_one_var,
+    ratio_sums_index,
     ratio_sums_triangular,
     svg_heatmap,
     svg_line_chart,
     zeta_matrix,
 )
+from trimobius import bfile as bfile_module
 from trimobius import svg as svg_module
 from trimobius.svg import heat_color, render_svg_heatmap, render_svg_plot
 
@@ -71,11 +76,39 @@ class TestLineChart:
         assert "<title>flat</title>" in svg
         assert svg.count("<line") >= 2
 
-    def test_write_to_file(self, tri_poset, tmp_path):
+    def test_write_to_file(self, tri_poset, tmp_path, monkeypatch):
+        monkeypatch.setattr(svg_module, "_POINT_CHUNK", 7)
         report = mertens_tri(mobius_one_var(tri_poset, 50))
         path = tmp_path / "chart.svg"
         render_svg_plot(report, path)
+        assert path.read_text() == svg_line_chart(report)
         assert path.read_text().startswith("<svg")
+
+    def test_empty_series_leaves_no_file(self, tmp_path):
+        path = tmp_path / "chart.svg"
+        with pytest.raises(ValueError, match="empty series"):
+            render_svg_plot(_flat_series(0, 0), path)
+        assert not path.exists()
+
+    def test_title_is_escaped(self):
+        report = SeriesReport(name="a<b&c>", ys=np.array([1, -2, 3]), slope_estimate=0.0,
+                              slope_lsq=0.0, final_value=3)
+        root = ET.fromstring(svg_line_chart(report))
+        svg_ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{svg_ns}title").text == "a<b&c>"
+        assert root.find(f"{svg_ns}text").text == "a<b&c>"
+        assert len(root.find(f"{svg_ns}polyline").get("points").split()) == 3
+
+    def test_pieces_are_consumed_in_bounded_memory(self, tri_poset_1e5):
+        report = abs_sums(mobius_one_var(tri_poset_1e5))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, svg_module.line_chart_pieces(report)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 1_300_000
+        assert peak < 1 << 20  # the whole-document writer peaked at ~6 MB
 
 
 def _scalar_chart_parts(series):
@@ -118,6 +151,32 @@ class TestChartCoordinates:
         assert xs == [70 + (x - 1) * (780 - 70) / (n - 1) for x in range(1, n + 1)]
         pys = svg_module._scale(np.array(ys), lo, hi, 450, 40).tolist()
         assert pys == [450 + (y - lo) * (40 - 450) / (hi - lo) for y in ys]
+
+    def test_chunks_match_scalar_path(self, monkeypatch):
+        monkeypatch.setattr(svg_module, "_POINT_CHUNK", 7)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 8, 9, 4095, 4096, 4097):
+            for ys in (np.cumsum(rng.integers(-1, 2, n)), rng.uniform(-3, 1, n)):
+                report = SeriesReport(name="chunks", ys=ys, slope_estimate=0.0,
+                                      slope_lsq=0.0, final_value=ys[-1])
+                svg = svg_line_chart(report)
+                for part in _scalar_chart_parts(report):
+                    assert part in svg, part[:60]
+
+    def test_golden_chart_points_match_format(self):
+        """Every coordinate of the charts the golden digests pin, against "{:.2f}"."""
+        reports = [classical_mertens(classical_mobius(60))]
+        for kind, n in ((TRI, 60), (SequenceKind.IDENTITY, 60), (TRI, 20_000)):
+            mu = mobius_one_var(DivisibilityPoset(kind, n), n)
+            reports += [ratio_sums_index(mu), ratio_sums_triangular(mu)]
+            if n == 60:
+                reports += [mertens_tri(mu), abs_sums(mu)]
+        for report in reports:
+            n, ys = len(report), report.ys.astype(np.float64)
+            px = svg_module._scale(np.arange(1, n + 1), 1, n, 70, 780)
+            py = svg_module._scale(ys, ys.min(), ys.max(), 450, 40)
+            expected = "".join(f"{x:.2f},{y:.2f} " for x, y in zip(px.tolist(), py.tolist()))
+            assert bfile_module.fixed_text([px, py], ",", " ") == expected
 
     def test_matches_scalar_path_on_odd_values(self):
         ys = [2**53 + 1, -(2**60) - 3, 2**70 + 1, Fraction(1, 3), -0.1, 5e-324, 0]
@@ -198,6 +257,10 @@ class TestHeatmap:
         sieve = classical_mobius(10)
         for j in (1, 2, 3, 6):
             assert minv.array[5, j - 1] == sieve.value(6 // j)
+
+    def test_title_is_escaped(self):
+        root = ET.fromstring(svg_heatmap(_zeta(3), "zeta <3 & more>"))
+        assert root.find("{http://www.w3.org/2000/svg}title").text == "zeta <3 & more>"
 
     def test_write_to_file(self, tmp_path):
         path = tmp_path / "heat.svg"
