@@ -58,30 +58,70 @@ def _endpoint_slope(first, last, n: int):
     return dy / (n - 1)
 
 
+# Terms per block of the compensated ratio sums and per leaf of _lsq_slope:
+# besides ys they hold one block of float64 temporaries, whatever N.
+_RATIO_BLOCK = 1 << 16
+
+
+def _pairwise(lo: int, hi: int, leaf) -> tuple:
+    """The tuple leaf(lo, hi) of sums over [lo, hi), added as numpy adds.
+
+    numpy sums m > 128 float64 terms as the sum of the first
+    h = m // 2 - (m // 2) % 8 and the sum of the rest, each split the
+    same way, and m <= 128 terms without a split.  So a piece of at most
+    _RATIO_BLOCK terms, or 128 if that is fewer, summed by np.add.reduce
+    is a node of the same tree, and the leaf sums added back up give
+    np.sum of the whole, bit for bit.
+    """
+    if hi - lo <= max(_RATIO_BLOCK, 128):
+        return leaf(lo, hi)
+    h = (hi - lo) // 2
+    h -= h % 8
+    left, right = _pairwise(lo, lo + h, leaf), _pairwise(lo + h, hi, leaf)
+    return tuple(a + b for a, b in zip(left, right))
+
+
 def _lsq_slope(ys) -> float:
     """Ordinary least-squares slope of ys against x = 1..N.
 
-    Two float64 arrays, centred in place; the products and sums are those
-    of sum((x - mx) * (y - my)) / sum((x - mx) ** 2), bit for bit.
+    sum((x - mx) * (y - my)) / sum((x - mx) ** 2) over float64 x and y,
+    bit for bit, but summed over _pairwise leaves: one pass for the two
+    means, one for the two sums.  Each leaf converts its own slice, so
+    the call holds a block of float64 temporaries, whatever N.
     """
     n = len(ys)
     if n < 2:
         return 0.0
-    dx = np.arange(1, n + 1, dtype=np.float64)
-    dx -= dx.mean()
-    dy = np.array(ys, dtype=np.float64)  # always a copy: ys is not modified
-    dy -= dy.mean()
-    dy *= dx
-    dx *= dx
-    return float(dy.sum() / dx.sum())
+
+    def block(lo, hi):
+        return np.arange(lo + 1, hi + 1, dtype=np.float64), np.array(ys[lo:hi], dtype=np.float64)
+
+    def sums(lo, hi):
+        x, y = block(lo, hi)
+        return np.add.reduce(x), np.add.reduce(y)
+
+    sx, sy = _pairwise(0, n, sums)
+    mx, my = sx / n, sy / n
+
+    def products(lo, hi):
+        dx, dy = block(lo, hi)
+        dx -= mx
+        dy -= my
+        dy *= dx
+        dx *= dx
+        return np.add.reduce(dy), np.add.reduce(dx)
+
+    sxy, sxx = _pairwise(0, n, products)
+    return float(sxy / sxx)
 
 
-def _partial_sums(terms: np.ndarray) -> np.ndarray:
-    """int64 prefix sums of the terms.
+def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """int64 prefix sums of the terms, or of their magnitudes.
 
     len(terms) times the largest |term| bounds every prefix sum; it is
     taken in Python integers, so OverflowError is raised before an int64
-    sum could wrap.
+    sum could wrap.  The terms are copied into the output array and summed
+    there, so the call makes no other N-length array.
     """
     if not len(terms):
         raise ValueError("empty Mobius vector")
@@ -91,12 +131,16 @@ def _partial_sums(terms: np.ndarray) -> np.ndarray:
             f"partial sums of {len(terms)} terms up to {top} in magnitude "
             "may leave the signed 64-bit range"
         )
-    return np.cumsum(terms, dtype=np.int64)
+    sums = np.empty(len(terms), dtype=np.int64)
+    sums[...] = terms
+    if absolute:
+        np.abs(sums, out=sums)
+    return np.cumsum(sums, out=sums)
 
 
-def _sum_series(name: str, terms: np.ndarray) -> SeriesReport:
-    """The exact prefix sums of integer terms as a named int64 series."""
-    sums = _partial_sums(terms)
+def _sum_series(name: str, terms: np.ndarray, absolute: bool = False) -> SeriesReport:
+    """The exact prefix sums of integer terms (or |terms|) as a named int64 series."""
+    sums = _partial_sums(terms, absolute)
     final = int(sums[-1])
     return SeriesReport(
         name=name,
@@ -114,13 +158,9 @@ def mertens_tri(mu: MobiusVector) -> SeriesReport:
 
 def abs_sums(mu: MobiusVector) -> SeriesReport:
     """Partial sums of |mu|.  slope_estimate here is the density ys[N] / N."""
-    report = _sum_series("mobius_abs_partial_sums", np.abs(mu.values[1:]))
+    report = _sum_series("mobius_abs_partial_sums", mu.values[1:], absolute=True)
     return replace(report, slope_estimate=Fraction(report.final_value, len(report)))
 
-
-# Terms per block of the compensated ratio sums: besides ys they hold one
-# block of float64 temporaries, whatever N.
-_RATIO_BLOCK = 1 << 16
 
 # Every integer of magnitude up to 2**53 is exact in float64, so the float64
 # quotient of two of them is Python's correctly rounded t / d.

@@ -47,7 +47,7 @@ class BFile:
 
 # Rows per block of decimal_blocks: its temporaries hold a few bytes per
 # character of one block, whatever the length of the whole text.
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 14
 
 
 def _magnitudes(block):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,28 @@ class TestInt64PartialSums:
                 abs_sums(_vec(values))
         assert mertens_tri(_vec([2**62 - 1, 2**62 - 1])).final_value == 2**63 - 2
 
+    def test_classical_sums_hold_one_int64_array(self):
+        sieve = classical_mobius(10**6)
+        tracemalloc.start()
+        try:
+            classical_mertens(sieve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ys is 8 MB; an int64 copy of the int8 terms and a whole-array slope
+        # took ~24 MB
+        assert peak < 10 << 20
+
+    def test_abs_sums_hold_one_int64_array(self):
+        mu = MobiusVector(SequenceKind.IDENTITY, classical_mobius(10**6).values.astype(np.int64))
+        tracemalloc.start()
+        try:
+            abs_sums(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20  # an np.abs copy of the terms took ~32 MB
+
 
 def _float_list_lsq_slope(ys):
     """The original slope: one float() per value, then the same float64 formula."""
@@ -121,12 +144,45 @@ def _float_list_lsq_slope(ys):
     return float(((fx - fx.mean()) * (fy - fy.mean())).sum() / ((fx - fx.mean()) ** 2).sum())
 
 
+_BIG = [2**53 + 1, 2**60 + 3, -(2**63) - 5, 2**70 + 1, 3 * 2**80 - 1]
+_FRACTIONS = [Fraction(1, 3), Fraction(-2**60, 7), Fraction(10**30 + 1, 10**12)]
+
+
+def _slope_inputs(n):
+    """An int64 walk, a float64 series and the big/fraction list, each of n terms."""
+    rng = np.random.default_rng(n)
+    walk = np.cumsum(rng.integers(-1, 2, n))
+    floats = np.cumsum(rng.standard_normal(n)) * 1e3
+    mixed = list(itertools.islice(itertools.cycle(_BIG + _FRACTIONS), n))
+    return walk, floats, mixed
+
+
 class TestLsqSlope:
     def test_bulk_conversion_is_bit_identical(self):
-        big = [2**53 + 1, 2**60 + 3, -(2**63) - 5, 2**70 + 1, 3 * 2**80 - 1]
-        fractions = [Fraction(1, 3), Fraction(-2**60, 7), Fraction(10**30 + 1, 10**12)]
-        for ys in (big, fractions, big + fractions + [0.1, -7.25], list(range(40))):
+        for ys in (_BIG, _FRACTIONS, _BIG + _FRACTIONS + [0.1, -7.25], list(range(40))):
             assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
+
+    @pytest.mark.parametrize("leaf", [128, 200])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000])
+    def test_small_leaves_follow_the_pairwise_tree(self, monkeypatch, leaf, n):
+        monkeypatch.setattr(analysis_module, "_RATIO_BLOCK", leaf)
+        for ys in _slope_inputs(n):
+            assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2**17 + 9, 10**6 + 3])
+    def test_default_leaves_follow_the_pairwise_tree(self, n):
+        for ys in _slope_inputs(n):
+            assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
+
+    def test_holds_one_block(self):
+        ys = np.cumsum(np.random.default_rng(3).integers(-1, 2, 10**6))
+        tracemalloc.start()
+        try:
+            analysis_module._lsq_slope(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20  # two whole float64 copies took ~16 MB
 
     def test_float_input_is_not_modified(self):
         ys = np.array([3.0, -1.5, 2.25, 8.0])

@@ -270,6 +270,11 @@ LARGE: dict[str, str] = {
         "8a8a471eac53523f0b0ddf3ab7c84d52abed84b9a7e58b5377fb88c644155fa4",
     "classical -n 200000 --series mertens --format json":
         "ccd7a8c3e4abb2fddddb4a7c150f224fd8c67447e40bc68428623c96be8d91d2",
+    # slope_lsq summed over several pairwise leaves, N not a multiple of 8
+    "classical -n 200003 --series mertens --format json":
+        "b0eb8bcaff1c8eb64a34818124687f893694a667ae5d3db426513363c8454a15",
+    "ratio-sums -n 100000 --denom index --format json":
+        "271f6a1849cb84a6470d1033f48101c0cf253477edbbab58847c8bb4ffbeb3a7",
     "sums -n 20000 --format json":
         "601c8d530cbee2fdf7635291935983e22ac40705f5f4f3a3ce28f7abbe22cd7c",
     "sums -n 20000 --format csv":
