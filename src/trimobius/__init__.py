@@ -27,8 +27,8 @@ from .analysis import (
     ratio_sums_index,
     ratio_sums_triangular,
 )
-from .bfile import BFile, DiffReport, export_bfile, format_bfile, load_bfile, oeis_diff
-from .exports import export_dot, export_matrix_csv, hasse_to_dot, matrix_to_csv
+from .bfile import BFile, DiffReport, format_bfile, load_bfile, oeis_diff
+from .exports import hasse_to_dot, matrix_to_csv
 from .mobius import (
     DENSE_CAP,
     MobiusMatrix,
@@ -49,7 +49,7 @@ from .poset import (
     triangular_index,
 )
 from .props import PropositionVerdict, prop1_check, prop2_check, scan_range
-from .svg import render_svg_heatmap, render_svg_plot, svg_heatmap, svg_line_chart
+from .svg import svg_heatmap, svg_line_chart
 
 __version__ = "0.1.0"
 
@@ -72,9 +72,6 @@ __all__ = [
     "classical_mertens",
     "classical_mobius",
     "estimate_C",
-    "export_bfile",
-    "export_dot",
-    "export_matrix_csv",
     "format_bfile",
     "hasse_to_dot",
     "invert_zeta",
@@ -89,8 +86,6 @@ __all__ = [
     "prop2_check",
     "ratio_sums_index",
     "ratio_sums_triangular",
-    "render_svg_heatmap",
-    "render_svg_plot",
     "scan_range",
     "sequence_value",
     "svg_heatmap",

@@ -1,7 +1,7 @@
 """Partial-sum series, magnitude records, and the classical Mobius baseline.
 
 Series over integer terms stay exact, in int64.  The two ratio series are
-float64 arrays: up to a configurable prefix (default 10,000) each entry is
+float64 arrays: through EXACT_RATIO_LIMIT (10,000) terms each entry is
 float() of the exact rational partial sum, accumulated as one integer
 numerator over the running lcm of the denominators; beyond it,
 Neumaier-compensated float sums, computed in numpy blocks bit-identically
@@ -229,32 +229,33 @@ def _exact_sums(terms: list, denominators: list):
     return steps, Fraction(num, lcm)
 
 
-def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: int):
+def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind):
     """Shared builder for the two ratio series, mu(k) / value(k) of the kind.
 
-    ys is float64.  Through min(N, exact_limit) it holds float() of the
-    exact partial sums, from _exact_sums over the nonzero terms; beyond,
+    ys is float64.  Through min(N, EXACT_RATIO_LIMIT) it holds float() of
+    the exact partial sums, from _exact_sums over the nonzero terms; beyond,
     the compensated float sums.  The float path runs from the start so the
-    two are cross-checked at exact_limit.
+    two are cross-checked at EXACT_RATIO_LIMIT.
     """
+    limit = EXACT_RATIO_LIMIT
     terms = mu.values[1:]
     n = len(terms)
     if not n:
         raise ValueError("empty Mobius vector")
     ys = _compensated_sums(terms, kind)
-    head = terms[: max(0, min(n, exact_limit))]
+    head = terms[:limit]
     nonzero = np.flatnonzero(head)
     denominators = sequence_values(kind, (nonzero + 1).astype(np.uint64))
     steps, exact = _exact_sums(head[nonzero].tolist(), denominators.tolist())
-    if 0 < exact_limit < n:
-        drift = abs(float(exact) - float(ys[exact_limit - 1]))
+    if 0 < limit < n:
+        drift = abs(float(exact) - float(ys[limit - 1]))
         if drift > RATIO_CROSSCHECK_TOL:
             raise ArithmeticError(
                 f"exact/compensated accumulation disagree by {drift:.3e} "
-                f"at n={exact_limit}"
+                f"at n={limit}"
             )
     ys[: len(head)] = np.array([0.0, *steps])[np.cumsum(head != 0)]
-    if n <= exact_limit:
+    if n <= limit:
         final = exact
         slope = _endpoint_slope(Fraction(int(terms[0])), exact, n)  # value(1) = 1
     else:
@@ -269,19 +270,15 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind, exact_limit: 
     )
 
 
-def ratio_sums_index(mu: MobiusVector, exact_limit: int = EXACT_RATIO_LIMIT) -> SeriesReport:
+def ratio_sums_index(mu: MobiusVector) -> SeriesReport:
     """Partial sums of mu(n)/n."""
-    return _ratio_series(
-        "mobius_over_index_partial_sums", mu, SequenceKind.IDENTITY, exact_limit
-    )
+    return _ratio_series("mobius_over_index_partial_sums", mu, SequenceKind.IDENTITY)
 
 
-def ratio_sums_triangular(
-    mu: MobiusVector, exact_limit: int = EXACT_RATIO_LIMIT
-) -> SeriesReport:
+def ratio_sums_triangular(mu: MobiusVector) -> SeriesReport:
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
     sequence_value(mu.kind, max(len(mu), 1))  # the 64-bit range check, once
-    return _ratio_series("mobius_over_value_partial_sums", mu, mu.kind, exact_limit)
+    return _ratio_series("mobius_over_value_partial_sums", mu, mu.kind)
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,6 @@ def decimal_blocks(columns, sep: str, end: str, joined: bool = False):
         yield str(text, "ascii")
 
 
-def decimal_rows(columns, sep: str, end: str, joined: bool = False) -> str:
-    """The text of decimal_blocks as one str."""
-    return "".join(decimal_blocks(columns, sep, end, joined))
-
-
 # fixed_text writes the digits of v * 100 rounded by np.rint when v * 100 is
 # below _FIXED_LIMIT in magnitude, where its rounding error is at most
 # 2**-23, and farther than _TIE_MARGIN from a tie, so that it rounds as the
@@ -200,13 +195,6 @@ def bfile_pieces(terms, offset: int = 1):
 def format_bfile(terms, offset: int = 1) -> str:
     """The text of bfile_pieces as one str."""
     return "".join(bfile_pieces(terms, offset))
-
-
-def export_bfile(terms, path, offset: int = 1) -> None:
-    """Write terms to path in b-file format."""
-    pieces = bfile_pieces(terms, offset)  # checks the terms before the file is made
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(pieces)
 
 
 # A b-file field: an optional minus sign and ASCII digits, nothing else that

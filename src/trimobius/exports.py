@@ -6,21 +6,16 @@ All output is byte-deterministic for a given input.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import numpy as np
 
-from .bfile import decimal_blocks, decimal_rows
+from .bfile import decimal_blocks
 from .poset import I64_MAX, HasseGraph
 
 
 def matrix_to_csv(matrix) -> str:
     """One row of matrix.array per line, comma-separated integers, zeros explicit."""
-    return decimal_rows(list(matrix.array.T), ",", "\n")
-
-
-def export_matrix_csv(matrix, path) -> None:
-    Path(path).write_text(matrix_to_csv(matrix), encoding="ascii")
+    return "".join(decimal_blocks(list(matrix.array.T), ",", "\n"))
 
 
 def dot_pieces(graph: HasseGraph):
@@ -46,11 +41,6 @@ def dot_pieces(graph: HasseGraph):
 def hasse_to_dot(graph: HasseGraph) -> str:
     """The text of dot_pieces as one str."""
     return "".join(dot_pieces(graph))
-
-
-def export_dot(graph: HasseGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(dot_pieces(graph))
 
 
 _DOT_EDGE = re.compile(r"^\s*([0-9]+)\s*->\s*([0-9]+)\s*;\s*$")

@@ -134,11 +134,6 @@ class _SquareMatrix:
     def n(self) -> int:
         return len(self.array)
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as tuples of Python ints, built on each call."""
-        return tuple(map(tuple, self.array.tolist()))
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -155,9 +150,6 @@ class ZetaMatrix(_SquareMatrix):
 
 class MobiusMatrix(_SquareMatrix):
     """Exact integer inverse of a zeta matrix: array[i-1, j-1] = mu(j, i)."""
-
-    def first_column(self) -> list[int]:
-        return self.array[:, 0].tolist()
 
 
 def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:

@@ -7,7 +7,6 @@ keep the output byte-deterministic, which the golden tests rely on.
 from __future__ import annotations
 
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -122,12 +121,6 @@ def svg_line_chart(series: SeriesReport) -> str:
     return "".join(line_chart_pieces(series))
 
 
-def render_svg_plot(series: SeriesReport, path) -> None:
-    pieces = line_chart_pieces(series)  # checks the series before the file is made
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(pieces)
-
-
 def svg_heatmap(matrix, title: str) -> str:
     """n x n cell grid of matrix.array; zero cells come from one gray background rect.
 
@@ -154,7 +147,3 @@ def svg_heatmap(matrix, title: str) -> str:
         )
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def render_svg_heatmap(matrix, title: str, path) -> None:
-    Path(path).write_text(svg_heatmap(matrix, title), encoding="ascii")

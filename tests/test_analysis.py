@@ -234,19 +234,22 @@ class TestRatioSums:
             after = ratio_sums_index(_vec(terms[:n])).final_value
             assert after - before == Fraction(mu1000.value(n), n), n
 
-    def test_exact_vs_compensated(self, mu_tri_10k):
+    def test_exact_vs_compensated(self, mu_tri_10k, monkeypatch):
         vec, _ = mu_tri_10k
         exact = ratio_sums_index(vec).final_value
-        # exact_limit=0 runs the compensated float path over the whole range
-        compensated = ratio_sums_index(vec, exact_limit=0).final_value
+        # a limit of 0 runs the compensated float path over the whole range
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", 0)
+        compensated = ratio_sums_index(vec).final_value
         # Shewchuk's exactly rounded sum of the same float terms
         shewchuk = math.fsum(t / n for n, t in enumerate(vec.terms(), 1))
         assert isinstance(exact, Fraction) and isinstance(compensated, float)
         assert abs(float(exact) - compensated) < 1e-9
         assert abs(shewchuk - compensated) < 1e-9
 
-    def test_float_tail_beyond_exact_limit(self, mu1000):
-        report = ratio_sums_index(mu1000, exact_limit=100)
+    def test_float_tail_beyond_exact_limit(self, mu1000, monkeypatch):
+        exact = ratio_sums_index(mu1000).final_value
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", 100)
+        report = ratio_sums_index(mu1000)
         terms = mu1000.terms()
         assert report.ys[:100].tolist() == _running_fractions(terms[:100], range(1, 101))
         assert _bits(report.ys) == _bits(_loop_ratio_series(terms, range(1, 1001), 100)[0])
@@ -254,7 +257,6 @@ class TestRatioSums:
         assert type(report.slope_estimate) is float
         assert report.slope_estimate == (report.ys[-1] - 1.0) / 999
         # the tail must continue the exact prefix smoothly
-        exact = ratio_sums_index(mu1000).final_value
         assert abs(float(exact) - report.ys[-1]) < 1e-9
 
     def test_identity_kind_value_denominator(self):
@@ -268,9 +270,11 @@ class TestRatioSums:
 
     def test_crosscheck_failure_is_reported(self, mu1000, monkeypatch):
         monkeypatch.setattr(analysis_module, "RATIO_CROSSCHECK_TOL", -1.0)
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", 100)
         with pytest.raises(ArithmeticError, match=r"disagree by \d\.\d{3}e[-+]\d+ at n=100$"):
-            ratio_sums_index(mu1000, exact_limit=100)
-        ratio_sums_index(mu1000, exact_limit=1000)  # no overlap, no check
+            ratio_sums_index(mu1000)
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", 1000)
+        ratio_sums_index(mu1000)  # no overlap, no check
 
 
 def _bits(values):
@@ -333,23 +337,25 @@ class TestRatioArrays:
 
     @pytest.mark.parametrize("exact_limit", [0, 100, 10_000])
     @pytest.mark.parametrize("n", [1, 2, 99, 101, 9_999, 70_000])
-    def test_random_mu(self, n, exact_limit):
+    def test_random_mu(self, n, exact_limit, monkeypatch):
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", exact_limit)
         vec = _random_mu(n, n)
         values = [k * (k + 1) // 2 for k in range(1, n + 1)]
-        _assert_matches_loop(ratio_sums_index(vec, exact_limit), vec.terms(),
+        _assert_matches_loop(ratio_sums_index(vec), vec.terms(),
                              range(1, n + 1), exact_limit)
-        _assert_matches_loop(ratio_sums_triangular(vec, exact_limit), vec.terms(),
+        _assert_matches_loop(ratio_sums_triangular(vec), vec.terms(),
                              values, exact_limit)
 
     @pytest.mark.parametrize("exact_limit", [0, 5, 100, 10_000])
     def test_blocks_of_seven(self, exact_limit, monkeypatch):
         monkeypatch.setattr(analysis_module, "_RATIO_BLOCK", 7)
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", exact_limit)
         for seed, n in ((1, 1), (2, 7), (3, 8), (4, 2000)):
             vec = _random_mu(seed, n)
             values = [k * (k + 1) // 2 for k in range(1, n + 1)]
-            _assert_matches_loop(ratio_sums_index(vec, exact_limit), vec.terms(),
+            _assert_matches_loop(ratio_sums_index(vec), vec.terms(),
                                  range(1, n + 1), exact_limit)
-            _assert_matches_loop(ratio_sums_triangular(vec, exact_limit), vec.terms(),
+            _assert_matches_loop(ratio_sums_triangular(vec), vec.terms(),
                                  values, exact_limit)
 
     def test_classical_mu_1e6(self):
@@ -370,9 +376,10 @@ class TestRatioArrays:
         # below the constant float64 division is exact; above it (here
         # value(k) > 1000, or |mu| > 1000) the quotient is divided in Python
         vec = _random_mu(9, 3000, top=5000)
-        expected = [ratio_sums_index(vec, 100), ratio_sums_triangular(vec, 100)]
+        monkeypatch.setattr(analysis_module, "EXACT_RATIO_LIMIT", 100)
+        expected = [ratio_sums_index(vec), ratio_sums_triangular(vec)]
         monkeypatch.setattr(analysis_module, "_FLOAT_EXACT", 1000)
-        got = [ratio_sums_index(vec, 100), ratio_sums_triangular(vec, 100)]
+        got = [ratio_sums_index(vec), ratio_sums_triangular(vec)]
         for old, new in zip(expected, got):
             assert _bits(new.ys) == _bits(old.ys) and new.final_value == old.final_value
         values = [k * (k + 1) // 2 for k in range(1, 3001)]

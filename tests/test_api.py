@@ -1,0 +1,65 @@
+"""API hygiene, read from the source with ast: no stale import, no stale export."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import trimobius
+
+_PACKAGE = Path(trimobius.__file__).parent
+_MODULES = sorted(_PACKAGE.glob("*.py"))
+# import numpy as _numpy in __init__ loads numpy with one OpenBLAS thread;
+# the name itself is never read
+_SIDE_EFFECT_IMPORTS = {("__init__", "_numpy")}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds in the module -> the line of that import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    loaded |= set(_dunder_all(tree))
+    unused = {
+        name: line for name, line in _imported(tree).items()
+        if name not in loaded and (path.stem, name) not in _SIDE_EFFECT_IMPORTS
+    }
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_all_is_exactly_the_reexports():
+    tree = _tree(_PACKAGE / "__init__.py")
+    reexported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert len(trimobius.__all__) == len(set(trimobius.__all__))
+    assert set(trimobius.__all__) == reexported
+    for name in trimobius.__all__:
+        assert hasattr(trimobius, name), name

@@ -11,10 +11,9 @@ from fuzzing import mutated
 from trimobius import DivisibilityPoset, SequenceKind, mobius_one_var, oeis_diff
 from trimobius import bfile as bfile_module
 from trimobius.bfile import (
+    bfile_pieces,
     bundled_snapshot,
     decimal_blocks,
-    decimal_rows,
-    export_bfile,
     fixed_text,
     format_bfile,
     load_bfile,
@@ -67,11 +66,11 @@ def _reference_rows(columns, sep, end, joined=False):
 
 
 class TestDecimalRows:
-    """decimal_rows against f-strings of the same Python ints."""
+    """The text of decimal_blocks against f-strings of the same Python ints."""
 
     def _check(self, columns, sep, end, joined=False):
         expected = _reference_rows([list(col) for col in columns], sep, end, joined)
-        assert decimal_rows(columns, sep, end, joined) == expected
+        assert "".join(decimal_blocks(columns, sep, end, joined)) == expected
 
     @pytest.fixture(params=[1 << 16, 7], ids=["block-65536", "block-7"])
     def block(self, request, monkeypatch):
@@ -107,7 +106,7 @@ class TestDecimalRows:
 
     def test_single_and_empty(self):
         self._check([np.array([-7])], "", ",", joined=True)
-        assert decimal_rows([range(0)], "", ",", joined=True) == ""
+        assert "".join(decimal_blocks([range(0)], "", ",", joined=True)) == ""
 
     def test_format_bfile_array_matches_the_list_path(self, block):
         values = np.array(EDGE_VALUES, dtype=np.int64)
@@ -233,27 +232,32 @@ class TestParseInput:
         _parse_bfile_checked(data.draw(mutated(format_bfile(terms, offset=offset))))
 
 
+def _write_bfile(path, terms, offset=1):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(bfile_pieces(terms, offset))
+
+
 class TestExport:
     def test_writes_exact_bytes(self, tmp_path):
         path = tmp_path / "b.txt"
-        export_bfile([1, -1, 0], path)
+        _write_bfile(path, [1, -1, 0])
         assert path.read_text() == "1 1\n2 -1\n3 0\n"
         assert load_bfile(path).terms() == [1, -1, 0]
 
     def test_array_is_streamed_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bfile_module, "_BLOCK_ROWS", 7)
         values = np.arange(-10, 10, dtype=np.int64) ** 3
-        assert len(list(bfile_module.bfile_pieces(values))) == 3
+        assert len(list(bfile_pieces(values))) == 3
         path = tmp_path / "b.txt"
-        export_bfile(values, path, offset=0)
+        _write_bfile(path, values, offset=0)
         assert path.read_text() == format_bfile(values.tolist(), offset=0)
 
-    def test_bad_terms_leave_no_file(self, tmp_path):
-        path = tmp_path / "b.txt"
-        for bad in ([], [1, 2.5], np.array([1.0])):
-            with pytest.raises((ValueError, TypeError)):
-                export_bfile(bad, path)
-        assert not path.exists()
+    def test_bad_terms_raise_before_any_piece(self):
+        # bfile_pieces checks eagerly: the call raises, not the first next()
+        for bad, error in (([], ValueError), ([1, 2.5], TypeError),
+                           (np.array([1.0]), TypeError)):
+            with pytest.raises(error):
+                bfile_pieces(bad)
 
 
 class TestBundledSnapshots:

@@ -153,13 +153,15 @@ class TestSeriesJson:
         self._check(abs_sums(mu))
 
     def test_fraction_then_float_series(self, mu, monkeypatch):
-        # float() of the exact sums through exact_limit, compensated floats after
-        for report in (ratio_sums_index(mu, exact_limit=700),
-                       ratio_sums_triangular(mu, exact_limit=1500)):
+        # float() of the exact sums through EXACT_RATIO_LIMIT, compensated floats after
+        for limit, ratio_sums in ((700, ratio_sums_index), (1500, ratio_sums_triangular)):
+            monkeypatch.setattr(cli.analysis, "EXACT_RATIO_LIMIT", limit)
+            report = ratio_sums(mu)
             assert report.ys.dtype == np.float64
             assert isinstance(report.slope_estimate, float)
             self._check(report)
-        exact = ratio_sums_index(mu, exact_limit=2000)
+        monkeypatch.setattr(cli.analysis, "EXACT_RATIO_LIMIT", 2000)
+        exact = ratio_sums_index(mu)
         assert isinstance(exact.final_value, Fraction)
         self._check(exact)
         # pieces of 7 rows: the separators between blocks
@@ -222,6 +224,17 @@ class TestEmit:
             assert code == 0 and out == text, command
             assert main([*argv, "--out", str(path)]) == 0
             assert path.read_text(encoding="utf-8") == text, command
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classical", "-n", "5", "--format", "svg"], 2),
+        (["zeta-matrix", "-n", "1001"], 1),
+        (["heatmap", "-n", "1001"], 1),
+    ])
+    def test_refused_command_leaves_no_file(self, capsys, tmp_path, argv, code):
+        path = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(path)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
 
     def test_ratio_csv_rows(self, monkeypatch):
         report = ratio_sums_index(MobiusVector(SequenceKind.IDENTITY, np.array([0, 1, -1, -1, 0])))

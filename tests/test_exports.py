@@ -17,7 +17,7 @@ from trimobius import (
 )
 from trimobius import bfile
 from trimobius.cli import main
-from trimobius.exports import dot_pieces, export_dot, export_matrix_csv, parse_dot
+from trimobius.exports import dot_pieces, parse_dot
 
 
 class TestMatrixCsv:
@@ -51,9 +51,9 @@ class TestMatrixCsv:
             expected = "".join(",".join(map(str, row)) + "\n" for row in matrix.array.tolist())
             assert matrix_to_csv(matrix) == expected
 
-    def test_file_round_trip(self, tri_poset, tmp_path):
+    def test_file_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
-        export_matrix_csv(zeta_matrix(tri_poset, 10), path)
+        assert main(["zeta-matrix", "-n", "10", "--out", str(path)]) == 0
         rows = [
             [int(v) for v in line.split(",")] for line in path.read_text().splitlines()
         ]
@@ -116,15 +116,16 @@ class TestDot:
         graph = DivisibilityPoset(kind, 3000).hasse_edges(3000)
         text = hasse_to_dot(graph)
         assert "".join(dot_pieces(graph)) == text
-        export_dot(graph, tmp_path / "h.dot")
-        assert (tmp_path / "h.dot").read_text(encoding="ascii") == text
+        path = tmp_path / "h.dot"
+        assert main(["hasse", "--kind", kind.value, "-n", "3000", "--out", str(path)]) == 0
+        assert path.read_text(encoding="ascii") == text
         assert main(["hasse", "--kind", kind.value, "-n", "3000"]) == 0
         assert capsys.readouterr().out == text
 
     def test_file_round_trip(self, tri_poset, tmp_path):
         graph = tri_poset.hasse_edges(20)
         path = tmp_path / "h.dot"
-        export_dot(graph, path)
+        assert main(["hasse", "-n", "20", "--out", str(path)]) == 0
         assert parse_dot(path.read_text()) == graph
 
     def test_parse_rejects_nodeless_text(self):

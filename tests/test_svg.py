@@ -25,7 +25,8 @@ from trimobius import (
 )
 from trimobius import bfile as bfile_module
 from trimobius import svg as svg_module
-from trimobius.svg import heat_color, render_svg_heatmap, render_svg_plot
+from trimobius.cli import main
+from trimobius.svg import heat_color, line_chart_pieces
 
 TRI = SequenceKind.TRIANGULAR
 
@@ -80,15 +81,14 @@ class TestLineChart:
         monkeypatch.setattr(svg_module, "_POINT_CHUNK", 7)
         report = mertens_tri(mobius_one_var(tri_poset, 50))
         path = tmp_path / "chart.svg"
-        render_svg_plot(report, path)
+        assert main(["sums", "-n", "50", "--format", "svg", "--out", str(path)]) == 0
         assert path.read_text() == svg_line_chart(report)
         assert path.read_text().startswith("<svg")
 
-    def test_empty_series_leaves_no_file(self, tmp_path):
-        path = tmp_path / "chart.svg"
+    def test_empty_series_raises_before_any_piece(self):
+        # line_chart_pieces checks eagerly: the call raises, not the first next()
         with pytest.raises(ValueError, match="empty series"):
-            render_svg_plot(_flat_series(0, 0), path)
-        assert not path.exists()
+            line_chart_pieces(_flat_series(0, 0))
 
     def test_title_is_escaped(self):
         report = SeriesReport(name="a<b&c>", ys=np.array([1, -2, 3]), slope_estimate=0.0,
@@ -238,7 +238,7 @@ class TestHeatmap:
         cell = 640 // 30
         cells = [(int(y) // cell, int(x) // cell) for x, y in re.findall(
             rf'<rect x="(\d+)" y="(\d+)" width="{cell}"', svg)]
-        expected = [(i, j) for i, row in enumerate(minv.rows)
+        expected = [(i, j) for i, row in enumerate(minv.array.tolist())
                     for j, v in enumerate(row) if v != 0]
         assert cells == expected
 
@@ -264,5 +264,7 @@ class TestHeatmap:
 
     def test_write_to_file(self, tmp_path):
         path = tmp_path / "heat.svg"
-        render_svg_heatmap(_zeta(5), "t", path)
+        assert main(["heatmap", "-n", "5", "--matrix", "zeta", "--out", str(path)]) == 0
+        title = "zeta matrix heatmap (triangular, n=5)"
+        assert path.read_text() == svg_heatmap(_zeta(5), title)
         assert path.read_text().endswith("</svg>\n")
