@@ -1,6 +1,6 @@
 """Mobius values of divisibility posets, by recursion and by exact matrix inversion.
 
-The recursion over the cached predecessor table is the production path.  The
+The recursion over the predecessor table is the production path.  The
 dense inverse (n <= DENSE_CAP), product-checked, is the mobius-matrix and
 heatmap output and the tests' oracle for mu(m, n).  Exact integers throughout.
 """
@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poset as _poset
 from .poset import I64_MAX, DivisibilityPoset, SequenceKind
 
 # Largest n for which a dense n x n matrix is ever materialized.
 DENSE_CAP = 1000
-
-# Most predecessor entries gathered at once by the recursion.
-_GATHER_CAP = 1 << 16
 
 
 def _guard_magnitude(value: int) -> int:
@@ -58,31 +56,20 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
     """Compute mu(1, k) for k = 1..n by the zero-sum recursion.
 
     mu(1, 1) = 1 and, for k >= 2, mu(1, k) is minus the sum of mu(1, d)
-    over all strict predecessors d of k.  The values are computed in runs
-    of rows lo..hi, each one gather and one np.add.reduceat over the table;
-    every row k >= 2 holds 1, so none is empty.  A run ends at n, at
-    _GATHER_CAP entries (a single row always runs), or just before the
-    first row reading a value at or past lo.  Rows are ascending, so that
-    is the first row whose last entry is >= lo, and every value a run reads
-    is final, whatever the sequence.  Before each run, the largest |mu| so
-    far times its longest row must fit in int64, or OverflowError is
-    raised.
+    over all strict predecessors d of k.  The values are computed in the
+    table's runs of rows lo..hi, of at most _RUN_CAP entries, each one
+    gather and one np.add.reduceat; every row k >= 2 holds 1, so none is
+    empty, and every value a run reads is final.  Before each run, the
+    largest |mu| so far times its longest row must fit in int64, or
+    OverflowError is raised.
     """
     if n is None:
         n = poset.max_index
     table = poset.predecessor_table(n)
-    indptr, indices = table.indptr[: n + 2], table.indices
     mu = np.zeros(n + 1, dtype=np.int64)
     mu[1] = 1
     top = 1  # largest |mu| so far, a Python int
-    lo = 2
-    while lo <= n:
-        # rows lo..hi hold at most _GATHER_CAP entries, or hi = lo
-        hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + _GATHER_CAP, "right")) - 2)
-        reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
-        if reads_lo.any():
-            hi = lo + int(reads_lo.argmax())
-        starts = indptr[lo : hi + 2]
+    for lo, hi, starts in table.runs(_poset._RUN_CAP):
         bound = top * int(np.diff(starts).max())
         if bound > I64_MAX:
             raise OverflowError(
@@ -91,11 +78,10 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
             )
         # the gather is a temporary, freed before the next run's is built
         np.negative(
-            np.add.reduceat(mu[indices[starts[0] : starts[-1]]], starts[:-1] - starts[0]),
+            np.add.reduceat(mu[table.indices[starts[0] : starts[-1]]], starts[:-1] - starts[0]),
             out=mu[lo : hi + 1],
         )
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
-        lo = hi + 1
     return MobiusVector(kind=poset.kind, values=mu)
 
 
@@ -105,9 +91,8 @@ def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
     Zero when m is not below n.  Otherwise one ascending pass over n's
     predecessor row: mu(m, m) = 1, and each z above m gets minus the sum
     of mu(m, w) over its own predecessors w; a w outside the interval
-    contributes zero.  The rows come from the poset's cached table on at
-    least 1..n, which a larger request rebuilds to at least twice its size,
-    so a sequence of calls with growing n costs O(log n) builds.
+    contributes zero.  The rows come from the poset's table on 1..n, built
+    on each call.
     """
     if not poset.leq(m, n):
         return 0
@@ -157,9 +142,8 @@ def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
     if n > DENSE_CAP:
         raise ValueError(f"dense matrix size {n} exceeds the cap DENSE_CAP = {DENSE_CAP}")
     table = poset.predecessor_table(n)
-    ptr = table.indptr[: n + 2]
     z = np.eye(n, dtype=np.int8)
-    z[np.repeat(np.arange(n), np.diff(ptr[1:])), table.indices[: ptr[-1]] - 1] = 1
+    z[np.repeat(np.arange(n), np.diff(table.indptr[1:])), table.indices - 1] = 1
     return ZetaMatrix(z)
 
 

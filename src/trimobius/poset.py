@@ -109,8 +109,8 @@ class PredecessorTable:
 
     Row k is indices[indptr[k]:indptr[k + 1]], ascending; indptr is int64
     with n + 2 entries and indices is int32.  len(t) == n + 1, t.row(k) is
-    row k as an int32 view, and iteration yields those views in order.  The
-    arrays are read-only, as the table is a shared cache.
+    row k as an int32 view, iteration yields those views in order, and
+    runs(cap) cuts rows 2..n into runs.  The arrays are read-only.
     """
 
     indptr: np.ndarray
@@ -132,13 +132,30 @@ class PredecessorTable:
         ptr = self.indptr.tolist()
         return map(self.indices.__getitem__, map(slice, ptr, ptr[1:]))
 
+    def runs(self, cap: int):
+        """Yield (lo, hi, indptr[lo:hi + 2]) for runs of rows lo..hi tiling 2..n.
+
+        A run holds at most cap entries (a single row always runs) and ends
+        just before the first row whose last entry is >= lo, so no row of a
+        run reads an element at or past lo, whatever the sequence.
+        """
+        indptr, indices = self.indptr, self.indices
+        lo = 2
+        while lo < len(self):
+            # rows lo..hi hold at most cap entries, or hi = lo
+            hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + cap, "right")) - 2)
+            reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
+            if reads_lo.any():
+                hi = lo + int(reads_lo.argmax())
+            yield lo, hi, indptr[lo : hi + 2]
+            lo = hi + 1
+
 
 class DivisibilityPoset:
     """The poset (1..max_index, <=) with i below j iff value(i) divides value(j).
 
     Instances are immutable after construction and safe for concurrent
-    readers; the lazily built predecessor table is filled under the GIL
-    and only ever grows.
+    readers.
     """
 
     def __init__(self, kind: SequenceKind, max_index: int):
@@ -148,9 +165,6 @@ class DivisibilityPoset:
         sequence_value(kind, max_index)
         self.kind = kind
         self.max_index = max_index
-        self._pred_table = PredecessorTable(
-            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32)
-        )
 
     def __repr__(self) -> str:
         return f"DivisibilityPoset({self.kind.value!r}, max_index={self.max_index})"
@@ -181,24 +195,11 @@ class DivisibilityPoset:
         return [d for d in range(1, n) if self.leq(d, n)]
 
     def predecessor_table(self, n: int) -> PredecessorTable:
-        """Predecessor rows for every element 1..n, built in bulk and cached.
+        """The predecessor rows of the elements 1..n, built in bulk on each call.
 
-        Returns a table indexed by element (row 0 empty) that covers at
-        least 1..n; the first build covers exactly 1..n.  The table is a
-        shared cache, so its arrays are read-only.  A larger
-        request rebuilds it to at least twice its size (capped at
-        max_index), so ascending requests cost O(log n) builds.
+        The table is indexed by element, row 0 empty, and covers exactly 1..n.
         """
         self._check_index(n)
-        built = len(self._pred_table) - 1
-        if built < n:
-            self._pred_table = self._build_predecessors(
-                min(self.max_index, max(n, 2 * built))
-            )
-        return self._pred_table
-
-    def _build_predecessors(self, n: int) -> PredecessorTable:
-        """The table on exactly 1..n, after the kind's range check."""
         if self.kind is SequenceKind.IDENTITY:
             if n > I32_MAX:
                 raise OverflowError(
@@ -230,27 +231,19 @@ class DivisibilityPoset:
         maximal chain from z up to y lies in row j.  So each entry (j, w)
         gathers only w's cover row, the edges already found with upper w,
         kept in a CSR by upper (cptr, cover) that grows in place.  Rows go
-        in runs lo..hi of at most _K_BLOCK rows that end just before the
-        first row whose last entry is >= lo, so every cover row a run reads
-        is final.  Within a run the entries (j, z) have ascending keys
-        j*(n+1) + z, and a binary search marks each gathered c by the key
-        j*(n+1) + c, an entry of row j by transitivity.  The unmarked
-        entries are the covers.
+        in the table's runs of at most _RUN_CAP entries, so every cover row
+        a run reads is final.  Within a run the entries (j, z) have
+        ascending keys j*(n+1) + z, and a binary search marks each gathered
+        c by the key j*(n+1) + c, an entry of row j by transitivity.  The
+        unmarked entries are the covers.
         """
         self._check_index(n)
         table = self.predecessor_table(n)
-        indptr, indices = table.indptr[: n + 2], table.indices
         cptr = np.zeros(n + 2, dtype=np.int64)
         cover = np.zeros(0, dtype=np.int32)
         size = 0
-        lo = 2
-        while lo <= n:
-            hi = min(lo + _K_BLOCK - 1, n)
-            reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
-            if reads_lo.any():
-                hi = lo + int(reads_lo.argmax())
-            starts = indptr[lo : hi + 2]
-            z = indices[starts[0] : starts[-1]]
+        for lo, hi, starts in table.runs(_RUN_CAP):
+            z = table.indices[starts[0] : starts[-1]]
             base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(starts))
             base *= n + 1  # the key of entry (j, z) is base + z = j*(n+1) + z
             # the cover row of z, gathered once per entry (j, z)
@@ -268,7 +261,6 @@ class DivisibilityPoset:
             per_row = np.add.reduceat(keep, starts[:-1] - starts[0], dtype=np.int64)
             cptr[lo + 1 : hi + 2] = size + np.cumsum(per_row)
             size += len(kept)
-            lo = hi + 1
         upper = np.repeat(np.arange(n + 1, dtype=np.int32), np.diff(cptr))
         del cptr
         # one sort of the packed keys lower << 32 | upper puts the edges,
@@ -282,6 +274,9 @@ class DivisibilityPoset:
         key >>= 32
         return HasseGraph(n, key.astype(np.int32), upper)
 
+
+# Most entries in a run of rows of the Mobius recursion and the Hasse pass.
+_RUN_CAP = 1 << 14
 
 # Segment sizes for the triangular builder.  A block of k shares one pair of
 # divisor windows; its candidate divisors are then processed in slices of

@@ -1,4 +1,4 @@
-"""API hygiene, read from the source with ast: no stale import, no stale export."""
+"""API hygiene, read from the source with ast: no stale import, export or private name."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,43 @@ def test_all_is_exactly_the_reexports():
     assert set(trimobius.__all__) == reexported
     for name in trimobius.__all__:
         assert hasattr(trimobius, name), name
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module defines at its top level, or in the body
+    of a top-level class -> its line: functions, classes and constants."""
+    names = {}
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def test_every_private_name_is_read():
+    trees = {path.stem: _tree(path) for path in _MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = {
+        f"{stem}.py:{line}": name
+        for stem, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert not unread, f"private names defined but never read: {unread}"

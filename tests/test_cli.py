@@ -299,7 +299,7 @@ class TestDenseCap:
         def build(self, n):
             raise AssertionError("a predecessor table was built")
 
-        monkeypatch.setattr(cli.DivisibilityPoset, "_build_predecessors", build)
+        monkeypatch.setattr(cli.DivisibilityPoset, "predecessor_table", build)
         code, out, err = run(capsys, "verify", "-n", "300000")
         assert (code, out) == (1, "")
         assert err == "error: dense matrix size 300000 exceeds the cap DENSE_CAP = 1000\n"

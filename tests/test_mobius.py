@@ -26,8 +26,8 @@ from trimobius import (
     zeta_matrix,
 )
 from trimobius import mobius as mobius_module
+from trimobius import poset as poset_module
 from trimobius.mobius import _guard_magnitude
-from trimobius.poset import PredecessorTable
 
 TRI = SequenceKind.TRIANGULAR
 IDENT = SequenceKind.IDENTITY
@@ -75,6 +75,16 @@ class TestOneVar:
             _guard_magnitude(2**63)
 
 
+class _TablePoset:
+    """A stand-in poset that hands out one prebuilt table for every request."""
+
+    def __init__(self, kind, table):
+        self.kind, self.max_index, self.table = kind, len(table) - 1, table
+
+    def predecessor_table(self, n):
+        return self.table
+
+
 def _row_loop_reference(poset, n):
     """The original per-row recursion, kept as the reference for the blocks."""
     table = poset.predecessor_table(n)
@@ -108,24 +118,24 @@ class TestBlockedRecursion:
         poset = DivisibilityPoset(kind, 2000)
         whole = mobius_one_var(poset, 2000).values
         # 7 entries per run: most runs hold a few rows, long rows run alone
-        monkeypatch.setattr(mobius_module, "_GATHER_CAP", 7)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", 7)
         for n in (2, 5, 44, 2000):
             assert np.array_equal(mobius_one_var(poset, n).values, whole[: n + 1]), n
 
     def test_gather_cap_1e5(self, tri_poset_1e5, monkeypatch):
         whole = mobius_one_var(tri_poset_1e5).values
-        monkeypatch.setattr(mobius_module, "_GATHER_CAP", 7)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", 7)
         assert np.array_equal(mobius_one_var(tri_poset_1e5).values, whole)
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_gather_is_freed_before_the_next_run(self, kind, monkeypatch):
-        # beside mu, a run holds its gather of at most _GATHER_CAP int64
+        # beside mu, a run holds its gather of at most _RUN_CAP int64
         # entries and smaller per-row arrays (~1.6 caps in all); a gather kept
-        # alive while the next one is built pushes the peak to ~2.5 caps
-        poset = DivisibilityPoset(kind, 100_000)
-        poset.predecessor_table(100_000)
+        # alive while the next one is built pushes the peak to ~2.5 caps.
+        # The table is built before the window opens.
+        poset = _TablePoset(kind, DivisibilityPoset(kind, 100_000).predecessor_table(100_000))
         cap = 1 << 14
-        monkeypatch.setattr(mobius_module, "_GATHER_CAP", cap)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
         tracemalloc.start()
         try:
             mobius_one_var(poset)
@@ -135,30 +145,13 @@ class TestBlockedRecursion:
         assert peak - 8 * 100_001 <= 2 * 8 * cap
 
     @pytest.mark.parametrize("cap", [1, 7, 1 << 20])
-    def test_runs_come_from_any_table(self, monkeypatch, cap):
-        # random ascending rows, each holding 1, about half of them reading
-        # the row just before: no sequence bounds where a run may end
-        rng = random.Random(cap)
-        rows = [[], [], [1]]
-        for k in range(3, 2001):
-            row = {1, rng.randrange(1, k)}
-            if rng.random() < 0.5:
-                row.add(k - 1)
-            rows.append(sorted(row))
-        indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
-        indices = np.array([d for r in rows for d in r], dtype=np.int32)
-
-        class TablePoset:
-            kind, max_index = TRI, 2000
-
-            def predecessor_table(self, n):
-                return PredecessorTable(indptr, indices)
-
-        monkeypatch.setattr(mobius_module, "_GATHER_CAP", cap)
+    def test_runs_come_from_any_table(self, monkeypatch, cap, random_ascending_table):
+        rows, table = random_ascending_table(cap)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
         reference = [0, 1]
         for k in range(2, 2001):
             reference.append(-sum(reference[d] for d in rows[k]))
-        assert mobius_one_var(TablePoset()).values.tolist() == reference
+        assert mobius_one_var(_TablePoset(TRI, table)).values.tolist() == reference
 
 
 class TestTwoVar:
@@ -193,15 +186,15 @@ class TestTwoVar:
 
     def test_builds_the_table_only_up_to_n(self, monkeypatch):
         poset = DivisibilityPoset(TRI, 10**6)
-        real, built = poset._build_predecessors, []
+        real, asked = poset.predecessor_table, []
 
         def spy(n):
-            built.append(n)
+            asked.append(n)
             return real(n)
 
-        monkeypatch.setattr(poset, "_build_predecessors", spy)
+        monkeypatch.setattr(poset, "predecessor_table", spy)
         assert mobius_two_var(poset, 2, 3) == -1
-        assert built and max(built) <= 3
+        assert asked == [3]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_matches_dense_inverse_60(self, kind):

@@ -16,7 +16,6 @@ from trimobius import (
     mobius_one_var,
     sequence_value,
     triangular_index,
-    zeta_matrix,
 )
 
 TRI = SequenceKind.TRIANGULAR
@@ -29,7 +28,7 @@ def _same_table(a, b):
 
 def _build(kind, n):
     """The table on exactly 1..n, fresh from the builder."""
-    return DivisibilityPoset(kind, n)._build_predecessors(n)
+    return DivisibilityPoset(kind, n).predecessor_table(n)
 
 
 def _rows(table):
@@ -180,28 +179,18 @@ class TestStrictPredecessors:
 
 class TestTableGrowth:
     @pytest.mark.parametrize("kind", [TRI, IDENT])
-    def test_ascending_requests_build_log_times(self, kind, monkeypatch):
-        builds = []
-        build = DivisibilityPoset._build_predecessors
-
-        def counting_build(self, n):
-            builds.append(n)
-            return build(self, n)
-
-        monkeypatch.setattr(DivisibilityPoset, "_build_predecessors", counting_build)
-        poset = DivisibilityPoset(kind, 200)
-        for n in range(1, 201):
-            poset.hasse_edges(n)
-            zeta_matrix(poset, n)
-            mobius_one_var(poset, n)
-        # 1, 2, 4, ..., 128, then capped at max_index
-        assert builds == [1, 2, 4, 8, 16, 32, 64, 128, 200]
-        fresh = DivisibilityPoset(kind, 200)
-        assert _same_table(poset.predecessor_table(200), fresh.predecessor_table(200))
-
-    @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_first_build_is_exact(self, kind):
         assert len(DivisibilityPoset(kind, 500).predecessor_table(37)) == 38
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_smaller_request_after_a_larger_one_is_exact(self, kind):
+        # each call builds exactly 1..n, whatever was asked before
+        poset = DivisibilityPoset(kind, 500)
+        assert len(poset.predecessor_table(500)) == 501
+        table = poset.predecessor_table(37)
+        assert len(table) == 38
+        assert table.indptr[-1] == len(table.indices)
+        assert _same_table(table, _build(kind, 37))
 
 
 class TestPredecessorTable:
@@ -221,8 +210,8 @@ class TestPredecessorTable:
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_rows_are_read_only(self, kind):
-        # the table is a shared cache: a write through a row view would
-        # change every later result computed from it
+        # the rows are views into the table: a write through one would
+        # change every later result computed from that table
         poset = DivisibilityPoset(kind, 300)
         expected = mobius_one_var(poset, 300).values.copy()
         table = poset.predecessor_table(300)
@@ -255,6 +244,29 @@ class TestPredecessorTable:
         if kind is TRI:
             k, d = k * (k + 1) // 2, d * (d + 1) // 2
         assert len(d) > 0 and (2 * d <= k).all() and (k % d == 0).all()
+
+
+class TestRuns:
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 14, 1 << 20])
+    @pytest.mark.parametrize("source", ["random", "triangular 1e5"])
+    def test_runs_are_maximal_and_read_no_later_row(self, source, cap, random_ascending_table):
+        if source == "random":
+            table = random_ascending_table(cap)[1]
+        else:
+            table = DivisibilityPoset(TRI, 100_000).predecessor_table(100_000)
+        n = len(table) - 1
+        ptr = table.indptr.tolist()
+        last = [row[-1] if row else 0 for row in _rows(table)]
+        his = [1]
+        for lo, hi, starts in table.runs(cap):
+            assert lo == his[-1] + 1 and lo <= hi <= n  # the runs tile 2..n in order
+            assert starts.tolist() == ptr[lo : hi + 2]
+            assert ptr[hi + 1] - ptr[lo] <= cap or hi == lo
+            assert max(last[lo : hi + 1]) < lo
+            # maximal: row hi + 1 would read lo or pass the cap
+            assert hi == n or last[hi + 1] >= lo or ptr[hi + 2] - ptr[lo] > cap
+            his.append(hi)
+        assert his[-1] == n
 
 
 class TestTriangularBuilder:
@@ -294,7 +306,7 @@ class TestTriangularBuilder:
         poset = DivisibilityPoset(TRI, 100_000)
         tracemalloc.start()
         try:
-            table = poset._build_predecessors(100_000)
+            table = poset.predecessor_table(100_000)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -479,12 +491,13 @@ class TestHasseEdges:
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_does_not_depend_on_block_size(self, kind, monkeypatch):
         expected = DivisibilityPoset(kind, 3000).hasse_edges(3000)
-        monkeypatch.setattr(poset_module, "_K_BLOCK", 7)
-        assert DivisibilityPoset(kind, 3000).hasse_edges(3000) == expected
+        for cap in (1, 7):
+            monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
+            assert DivisibilityPoset(kind, 3000).hasse_edges(3000) == expected, cap
 
     def test_rows_at_block_edges_match_covers(self):
-        # rows are processed in blocks of _K_BLOCK starting at row 2, so the
-        # blocks end at rows 4097 and 8193
+        # the builder makes its rows in blocks of _K_BLOCK starting at row 2,
+        # so the blocks end at rows 4097 and 8193
         n = 8194
         poset = DivisibilityPoset(TRI, n)
         graph = poset.hasse_edges(n)
@@ -493,30 +506,15 @@ class TestHasseEdges:
             expected = [i for i in poset.strict_predecessors_trial(j) if poset.covers(i, j)]
             assert found == expected, j
 
-    @pytest.mark.parametrize("kind", [TRI, IDENT])
-    def test_smaller_n_on_a_larger_cached_table(self, kind):
-        poset = DivisibilityPoset(kind, 3000)
-        poset.predecessor_table(3000)
-        for n in (2, 3, 4, 7, 8, 100, 2047, 2999):
-            assert poset.hasse_edges(n) == DivisibilityPoset(kind, n).hasse_edges(n), n
-
     def test_sampled_rows_match_the_relation_1e5(self, tri_poset_1e5):
         n = 100_000
         poset = tri_poset_1e5
         graph = poset.hasse_edges(n)
-        # the rows where a run of hasse_edges stops short of _K_BLOCK rows:
-        # the first row whose last predecessor is at or past the run's start
+        # the rows where a run of hasse_edges stops short of its cap: the
+        # first row whose last predecessor is at or past the run's start
         table = poset.predecessor_table(n)
-        last = np.zeros(n + 1, dtype=np.int64)
-        last[2:] = table.indices[table.indptr[3 : n + 2] - 1]
-        cuts, lo = [], 2
-        while lo <= n:
-            hi = min(lo + poset_module._K_BLOCK - 1, n)
-            late = np.flatnonzero(last[lo + 1 : hi + 1] >= lo)
-            if len(late):
-                hi = lo + int(late[0])
-                cuts.append(hi + 1)
-            lo = hi + 1
+        runs = table.runs(poset_module._RUN_CAP)
+        cuts = [hi + 1 for lo, hi, _ in runs if hi < n and table.row(hi + 1)[-1] >= lo]
         rng = random.Random(1972)
         rows = rng.sample(cuts, 4) + rng.sample(range(2, n + 1), 6)
         for j in rows:
