@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computation failure or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -169,22 +170,21 @@ _MATRIX = {
 _RECORDS = {"csv": _records_csv, "json": _records_json}
 
 
-def _format(table: dict, default: str, args) -> str:
-    """args.format, or default; UsageError unless table has a writer for it."""
-    fmt = args.format or default
+def _write(table: dict, default: str, value, args) -> int:
+    """Write value(args) in args.format, or in default, with the writer from table.
+
+    The format is checked before value(args) runs: UsageError unless table
+    has a writer for it.
+    """
+    fmt = getattr(args, "format", None) or default
     if fmt not in table:
         raise UsageError(f"--format {fmt} does not apply here; use one of {', '.join(table)}")
-    return fmt
+    _emit(table[fmt](value(args)), args.out)
+    return 0
 
 
-def _write(table: dict, default: str, value, args) -> None:
-    """Write value in args.format, or in default, with the writer from table."""
-    _emit(table[_format(table, default, args)](value), args.out)
-
-
-def _mobius_vector(args) -> mobius.MobiusVector:
-    poset = DivisibilityPoset(_kind(args), args.limit)
-    return mobius.mobius_one_var(poset, args.limit)
+def _mu(args) -> mobius.MobiusVector:
+    return mobius.mobius_one_var(DivisibilityPoset(_kind(args), args.limit), args.limit)
 
 
 def _matrix(args, which: str):
@@ -193,58 +193,41 @@ def _matrix(args, which: str):
     return zeta if which == "zeta" else mobius.invert_zeta(zeta)
 
 
-def cmd_mobius(args) -> int:
-    vec = _mobius_vector(args)
-    _write(_TERMS, "bfile", {"kind": vec.kind.value, "values": vec.values[1:]}, args)
-    return 0
-
-
-def cmd_sums(args) -> int:
-    _write(_SERIES, "bfile", analysis.mertens_tri(_mobius_vector(args)), args)
-    return 0
-
-
-def cmd_abs_sums(args) -> int:
-    _write(_SERIES, "bfile", analysis.abs_sums(_mobius_vector(args)), args)
-    return 0
-
-
-def cmd_ratio_sums(args) -> int:
-    vec = _mobius_vector(args)
+def _ratio_sums(args) -> analysis.SeriesReport:
+    vec = _mu(args)
     if args.denom == "index":
-        report = analysis.ratio_sums_index(vec)
-    else:
-        report = analysis.ratio_sums_triangular(vec)
-    _write(_RATIO_SERIES, "csv", report, args)
-    return 0
+        return analysis.ratio_sums_index(vec)
+    return analysis.ratio_sums_triangular(vec)
 
 
-def cmd_zeta_matrix(args) -> int:
-    _write(_MATRIX, "csv", _matrix(args, "zeta"), args)
-    return 0
-
-
-def cmd_mobius_matrix(args) -> int:
-    _write(_MATRIX, "csv", _matrix(args, "mobius"), args)
-    return 0
-
-
-def cmd_hasse(args) -> int:
-    poset = DivisibilityPoset(_kind(args), args.limit)
-    _emit(exports.dot_pieces(poset.hasse_edges(args.limit)), args.out)
-    return 0
-
-
-def cmd_heatmap(args) -> int:
-    title = f"{args.matrix} matrix heatmap ({args.kind}, n={args.limit})"
-    _emit([svg.svg_heatmap(_matrix(args, args.matrix), title)], args.out)
-    return 0
-
-
-def cmd_records(args) -> int:
-    table = analysis.magnitude_records(_mobius_vector(args), signed=args.signed)
-    _write(_RECORDS, "csv", table, args)
-    return 0
+# The subcommands that compute one value and write it, in parser order: name
+# -> (help, the value of the parsed args, writer table, default format).  A
+# table of more than one writer gives the subcommand --format.  The values
+# look the library functions up when they run, so that a wrapped or patched
+# one is the one called.
+_WRITTEN = {
+    "mobius": ("one-variable Mobius values",
+               lambda a: {"kind": a.kind, "values": _mu(a).values[1:]}, _TERMS, "bfile"),
+    "sums": ("partial sums of Mobius values",
+             lambda a: analysis.mertens_tri(_mu(a)), _SERIES, "bfile"),
+    "abs-sums": ("partial sums of |Mobius values|",
+                 lambda a: analysis.abs_sums(_mu(a)), _SERIES, "bfile"),
+    "ratio-sums": ("partial sums of mu(n)/n or mu(n)/value(n)",
+                   _ratio_sums, _RATIO_SERIES, "csv"),
+    "zeta-matrix": ("0/1 incidence matrix", lambda a: _matrix(a, "zeta"), _MATRIX, "csv"),
+    "mobius-matrix": ("exact inverse of the zeta matrix",
+                      lambda a: _matrix(a, "mobius"), _MATRIX, "csv"),
+    "hasse": ("covering relations as a DOT digraph",
+              lambda a: DivisibilityPoset(_kind(a), a.limit).hasse_edges(a.limit),
+              {"dot": exports.dot_pieces}, "dot"),
+    "heatmap": ("SVG heatmap of a matrix",
+                lambda a: (_matrix(a, a.matrix),
+                           f"{a.matrix} matrix heatmap ({a.kind}, n={a.limit})"),
+                {"svg": lambda pair: [svg.svg_heatmap(*pair)]}, "svg"),
+    "records": ("first index reaching each magnitude",
+                lambda a: analysis.magnitude_records(_mu(a), signed=a.signed),
+                _RECORDS, "csv"),
+}
 
 
 def cmd_props(args) -> int:
@@ -270,14 +253,11 @@ def cmd_props(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    # --format offers every series format, so check it before the sieve runs
-    _format(_TERMS if args.series == "mobius" else _SERIES, "bfile", args)
-    vec = analysis.classical_mobius(args.limit)
     if args.series == "mobius":
-        _write(_TERMS, "bfile", {"values": vec.values[1:]}, args)
-    else:
-        _write(_SERIES, "bfile", analysis.classical_mertens(vec), args)
-    return 0
+        return _write(_TERMS, "bfile",
+                      lambda a: {"values": analysis.classical_mobius(a.limit).values[1:]}, args)
+    return _write(_SERIES, "bfile",
+                  lambda a: analysis.classical_mertens(analysis.classical_mobius(a.limit)), args)
 
 
 def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.MobiusVector:
@@ -359,23 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("mobius", cmd_mobius, "one-variable Mobius values", limit="req", fmt=_TERMS)
-    add("sums", cmd_sums, "partial sums of Mobius values", limit="req", fmt=_SERIES)
-    add("abs-sums", cmd_abs_sums, "partial sums of |Mobius values|", limit="req",
-        fmt=_SERIES)
-    p = add("ratio-sums", cmd_ratio_sums, "partial sums of mu(n)/n or mu(n)/value(n)",
-            limit="req", fmt=_RATIO_SERIES)
-    p.add_argument("--denom", choices=["index", "value"], default="index")
-    add("zeta-matrix", cmd_zeta_matrix, "0/1 incidence matrix", limit="req", fmt=_MATRIX)
-    add("mobius-matrix", cmd_mobius_matrix, "exact inverse of the zeta matrix",
-        limit="req", fmt=_MATRIX)
-    add("hasse", cmd_hasse, "covering relations as a DOT digraph", limit="req")
-    p = add("heatmap", cmd_heatmap, "SVG heatmap of a matrix", limit="req")
-    p.add_argument("--matrix", choices=["zeta", "mobius"], default="mobius")
-    p = add("records", cmd_records, "first index reaching each magnitude",
-            limit="req", fmt=_RECORDS)
-    p.add_argument("--signed", action="store_true",
-                   help="record mu(n) >= M instead of |mu(n)| >= M")
+    for name, (help_, value, table, default) in _WRITTEN.items():
+        add(name, functools.partial(_write, table, default, value), help_, limit="req",
+            fmt=table if len(table) > 1 else None)
+    sub.choices["ratio-sums"].add_argument("--denom", choices=["index", "value"],
+                                           default="index")
+    sub.choices["heatmap"].add_argument("--matrix", choices=["zeta", "mobius"],
+                                        default="mobius")
+    sub.choices["records"].add_argument("--signed", action="store_true",
+                                        help="record mu(n) >= M instead of |mu(n)| >= M")
     p = add("props", cmd_props, "verify the divisibility propositions",
             limit=False, kind=False)
     p.add_argument("--max-n", type=positive_int, default=10_000)

@@ -18,13 +18,6 @@ from .poset import I64_MAX, DivisibilityPoset, SequenceKind
 DENSE_CAP = 1000
 
 
-def _guard_magnitude(value: int) -> int:
-    """Abort loudly instead of letting a value leave the signed 64-bit range."""
-    if not -I64_MAX - 1 <= value <= I64_MAX:
-        raise OverflowError(f"Mobius value {value} exceeds the signed 64-bit range")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class MobiusVector:
     """One-variable values mu(1, n) for n = 1..len(self), as an integer array.
@@ -52,22 +45,22 @@ class MobiusVector:
         return self.values[1:].tolist()
 
 
-def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVector:
-    """Compute mu(1, k) for k = 1..n by the zero-sum recursion.
+def _mu_from(table: _poset.PredecessorTable, m: int) -> np.ndarray:
+    """mu(m, k) for k = 0..n, n the table's last element, by the zero-sum recursion.
 
-    mu(1, 1) = 1 and, for k >= 2, mu(1, k) is minus the sum of mu(1, d)
-    over all strict predecessors d of k.  The values are computed in the
-    table's runs of rows lo..hi, of at most _RUN_CAP entries, each one
-    gather and one np.add.reduceat; every row k >= 2 holds 1, so none is
-    empty, and every value a run reads is final.  Before each run, the
+    Entry 0 is 0, and so is entry 1 unless m = 1.  mu(m, m) = 1 and, for
+    every other k >= 2, mu(m, k) is minus the sum of mu(m, d) over all
+    strict predecessors d of k; a row below m, or not above m, sums only
+    zeros.  The values are computed in the table's runs of rows lo..hi, of
+    at most _RUN_CAP entries, each one gather and one np.add.reduceat;
+    every row k >= 2 holds 1, so none is empty, and every value a run
+    reads is final.  No row of the run holding m reads m, so that run
+    writes 0 over mu(m, m), which is set back to 1.  Before each run, the
     largest |mu| so far times its longest row must fit in int64, or
     OverflowError is raised.
     """
-    if n is None:
-        n = poset.max_index
-    table = poset.predecessor_table(n)
-    mu = np.zeros(n + 1, dtype=np.int64)
-    mu[1] = 1
+    mu = np.zeros(len(table), dtype=np.int64)
+    mu[m] = 1
     top = 1  # largest |mu| so far, a Python int
     for lo, hi, starts in table.runs(_poset._RUN_CAP):
         bound = top * int(np.diff(starts).max())
@@ -82,26 +75,29 @@ def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVect
             out=mu[lo : hi + 1],
         )
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
-    return MobiusVector(kind=poset.kind, values=mu)
+        if lo <= m <= hi:
+            mu[m] = 1
+    return mu
+
+
+def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVector:
+    """Compute mu(1, k) for k = 1..n by the zero-sum recursion from 1.
+
+    OverflowError if a sum could leave the signed 64-bit range.
+    """
+    if n is None:
+        n = poset.max_index
+    return MobiusVector(kind=poset.kind, values=_mu_from(poset.predecessor_table(n), 1))
 
 
 def mobius_two_var(poset: DivisibilityPoset, m: int, n: int) -> int:
-    """mu(m, n) by the zero-sum recursion over the interval [m, n].
+    """mu(m, n): zero unless m is below n, else the zero-sum recursion from m.
 
-    Zero when m is not below n.  Otherwise one ascending pass over n's
-    predecessor row: mu(m, m) = 1, and each z above m gets minus the sum
-    of mu(m, w) over its own predecessors w; a w outside the interval
-    contributes zero.  The rows come from the poset's table on 1..n, built
-    on each call.
+    The recursion runs over the poset's table on 1..n, built on each call.
     """
     if not poset.leq(m, n):
         return 0
-    table = poset.predecessor_table(n)
-    mu = {m: 1}
-    for z in table.row(n).tolist() + [n]:
-        if z > m:
-            mu[z] = _guard_magnitude(-sum(mu.get(w, 0) for w in table.row(z).tolist()))
-    return mu[n]
+    return int(_mu_from(poset.predecessor_table(n), m)[n])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 from fractions import Fraction
 
@@ -74,10 +76,10 @@ class TestMobiusCommand:
         assert "error" in err
 
     def test_memory_error_is_one_line(self, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(vec):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "cmd_sums", exhausted)
+        monkeypatch.setattr(cli.analysis, "mertens_tri", exhausted)
         code, out, err = run(capsys, "sums", "-n", "10")
         assert code == 1
         assert out == ""
@@ -491,3 +493,37 @@ class TestOeisDiffCommand:
         code, _, err = run(capsys, "oeis-diff", "--kind", "identity")
         assert code == 2
         assert "bundled" in err
+
+
+# SHA-256 of each parser's --help text at 100 columns, "" being the top-level
+# parser, in argparse's layout up to Python 3.12 (3.13 writes "-n, --limit
+# LIMIT"); the golden suite runs commands, so only this pins the help
+HELP_SHA256 = {
+    "": "f6f220bb843cf23c409d684720fd7a06e0e98a9f9b9d6a28fe23059e668411f5",
+    "mobius": "972cc13d615ce09a8928a5a4ddba457d9e53e244f337d1263c7cfc899496e5ff",
+    "sums": "b4a093a40483ff9a2d43c083e7a0df836795451df66558b737581b507de6ecce",
+    "abs-sums": "5483e9103eff0c1d29de8d43a707b9b0b4411481c70b0dfdc940b36c9818f178",
+    "ratio-sums": "2fb71642ce0afc8467cb4695802afafe76c53ba5a8ebac3a074189394f24a16d",
+    "zeta-matrix": "f554a581adb2135674419b0c3d945e328a6e4996fce724ced1868b9c7d5aa80e",
+    "mobius-matrix": "dc5ce0bfda84bfa158253a8afe6a1c331291cb4a6e1a3d4ea17f4c6110520699",
+    "hasse": "816a230f96b36a3a78a52c5d7339ea231ed5b9651a6ea7d9b0189a51d2569232",
+    "heatmap": "5cece58287488c0ee66b194ab1aa09f5789dce896468cb8d236b6a851df8523d",
+    "records": "587046c1bf61ab4661d2eb4e3229ab3207d31f781baf359a4d8b32e1aac68636",
+    "props": "6c265f80b3981eba057f329ad6a6eb9289e54565903de8288593f3f3544bef88",
+    "classical": "5a9499a9148723b7706af40ecd64f1c0e12a5ab49ed3c4416c1d4c0937fdf654",
+    "verify": "7bbe1bcdea17429c4f0ecb564d07298f0f8f2c3a6cee9e361b78ea5a0eb3134a",
+    "oeis-diff": "3fd46d4c290f3158f7e84d6b2351b85f73b67f9b27ccfc34c95d3562d384ea73",
+}
+
+
+class TestHelpText:
+    def test_every_help_text_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {"": parser.format_help()}
+        helps.update((name, p.format_help()) for name, p in sub.choices.items())
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in helps.items()}
+        # dict order is the subcommand order
+        assert list(digests.items()) == list(HELP_SHA256.items())

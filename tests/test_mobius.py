@@ -27,10 +27,17 @@ from trimobius import (
 )
 from trimobius import mobius as mobius_module
 from trimobius import poset as poset_module
-from trimobius.mobius import _guard_magnitude
+from trimobius.mobius import _mu_from
 
 TRI = SequenceKind.TRIANGULAR
 IDENT = SequenceKind.IDENTITY
+
+
+def _guard(value):
+    """The references' own int64 check: raise rather than leave the range."""
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError(f"{value} leaves int64")
+    return value
 
 
 class TestOneVar:
@@ -69,11 +76,6 @@ class TestOneVar:
         with pytest.raises(IndexError):
             vec.value(0)
 
-    def test_overflow_guard_aborts(self):
-        assert _guard_magnitude(2**63 - 1) == 2**63 - 1
-        with pytest.raises(OverflowError):
-            _guard_magnitude(2**63)
-
 
 class _TablePoset:
     """A stand-in poset that hands out one prebuilt table for every request."""
@@ -91,7 +93,7 @@ def _row_loop_reference(poset, n):
     values = [0] * (n + 1)
     values[1] = 1
     for k in range(2, n + 1):
-        values[k] = _guard_magnitude(-sum(values[d] for d in table.row(k).tolist()))
+        values[k] = _guard(-sum(values[d] for d in table.row(k).tolist()))
     return tuple(values)
 
 
@@ -112,6 +114,11 @@ class TestBlockedRecursion:
         with pytest.raises(OverflowError):
             mobius_one_var(tri_poset, 2000)
         assert mobius_one_var(tri_poset, 10).terms() == MU_TRI_10
+        # two-var runs the same recursion, so the same bound stops it
+        assert tri_poset.leq(2, 2000)
+        with pytest.raises(OverflowError):
+            mobius_two_var(tri_poset, 2, 2000)
+        assert mobius_two_var(tri_poset, 2, 3) == -1
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_gather_cap_2000(self, kind, monkeypatch):
@@ -204,6 +211,20 @@ class TestTwoVar:
         for n in range(1, 61):
             for m in range(1, 61):
                 assert mobius_two_var(poset, m, n) == rows[n - 1][m - 1], (m, n)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 14])
+    def test_every_column_matches_dense_inverse_200(self, kind, cap, monkeypatch):
+        # column m of the inverted zeta matrix is mu(m, .), zeros included;
+        # the run holding m overwrites mu(m, m), which must be set back to 1
+        poset = DivisibilityPoset(kind, 200)
+        inverse = invert_zeta(zeta_matrix(poset, 200)).array
+        table = poset.predecessor_table(200)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
+        for m in range(1, 201):
+            column = _mu_from(table, m)
+            assert column[0] == 0
+            assert np.array_equal(column[1:], inverse[:, m - 1]), m
 
 
 class TestZetaMatrix:
@@ -330,7 +351,7 @@ def _forward_substitution_reference(rows):
                 if k > i:
                     break
                 acc += row[k]
-            row[j] = _guard_magnitude(-acc)
+            row[j] = _guard(-acc)
         out.append(row)
     return out
 
