@@ -123,8 +123,6 @@ def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
     sum could wrap.  The terms are copied into the output array and summed
     there, so the call makes no other N-length array.
     """
-    if not len(terms):
-        raise ValueError("empty Mobius vector")
     top = max(int(terms.max()), -int(terms.min()))
     if top * len(terms) > I64_MAX:
         raise OverflowError(
@@ -240,8 +238,6 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind):
     limit = EXACT_RATIO_LIMIT
     terms = mu.values[1:]
     n = len(terms)
-    if not n:
-        raise ValueError("empty Mobius vector")
     ys = _compensated_sums(terms, kind)
     head = terms[:limit]
     nonzero = np.flatnonzero(head)
@@ -277,7 +273,7 @@ def ratio_sums_index(mu: MobiusVector) -> SeriesReport:
 
 def ratio_sums_triangular(mu: MobiusVector) -> SeriesReport:
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
-    sequence_value(mu.kind, max(len(mu), 1))  # the 64-bit range check, once
+    sequence_value(mu.kind, len(mu))  # the 64-bit range check, once
     return _ratio_series("mobius_over_value_partial_sums", mu, mu.kind)
 
 
@@ -321,11 +317,10 @@ def magnitude_records(mu: MobiusVector, signed: bool = False) -> MagnitudeRecord
     equal to M takes one pass per magnitude.
     """
     terms = mu.values[1:]
-    if not len(terms):
-        raise ValueError("empty Mobius vector")
-    mags = terms if signed else np.abs(terms)
+    # |terms| read as unsigned, so the dtype's minimum does not wrap
+    mags = terms if signed else np.abs(terms).view(f"u{terms.itemsize}")
     top = max(int(mags.max()), 0)
-    levels = np.arange(1, top + 1)
+    levels = np.arange(1, top + 1, dtype=mags.dtype)  # searched without a cast
     first_geq = np.searchsorted(np.maximum.accumulate(mags), levels) + 1
     rows = []
     for m, geq in zip(levels.tolist(), first_geq.tolist()):

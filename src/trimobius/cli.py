@@ -146,6 +146,13 @@ def _terms_json(payload):
     yield "]}\n"
 
 
+def _matrix_json(matrix):
+    """The matrix as json.dumps writes {"n": n, "rows": rows}, plus a newline, in pieces."""
+    yield '{"n": %d, "rows": [[' % matrix.n
+    yield from bfile.decimal_blocks(list(matrix.array.T), ", ", "], [", joined=True)
+    yield "]]}\n"
+
+
 # One table per output shape: --format -> writer of the value's text, as an
 # iterable of pieces that _emit writes in order.
 _SERIES = {
@@ -163,10 +170,7 @@ _TERMS = {
     "csv": lambda payload: _index_csv(payload["values"]),
     "json": _terms_json,
 }
-_MATRIX = {
-    "csv": lambda matrix: [exports.matrix_to_csv(matrix)],
-    "json": lambda matrix: [json.dumps({"n": matrix.n, "rows": matrix.array.tolist()}) + "\n"],
-}
+_MATRIX = {"csv": lambda matrix: [exports.matrix_to_csv(matrix)], "json": _matrix_json}
 _RECORDS = {"csv": _records_csv, "json": _records_json}
 
 
@@ -329,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         if limit:
             p.add_argument("-n", "--limit", type=positive_int, required=(limit == "req"))
         if kind:
-            p.add_argument(
-                "--kind", choices=["triangular", "identity"], default="triangular"
-            )
+            p.add_argument("--kind", choices=[k.value for k in SequenceKind],
+                           default=SequenceKind.TRIANGULAR.value)
         if fmt:
             p.add_argument("--format", choices=list(fmt), default=None)
         if out:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poset as _poset
-from .poset import I64_MAX, DivisibilityPoset, SequenceKind
+from .poset import I64_MAX, DivisibilityPoset, PredecessorTable, SequenceKind
 
 # Largest n for which a dense n x n matrix is ever materialized.
 DENSE_CAP = 1000
@@ -24,11 +23,15 @@ class MobiusVector:
 
     values[0] is an unused slot so that values[n] is the n-th entry.  The
     recursion fills int64; the classical sieve (identity kind) fills int8.
-    value() and terms() hand out Python ints.
+    value() and terms() hand out Python ints.  ValueError if it holds no term.
     """
 
     kind: SequenceKind
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.values) < 2:
+            raise ValueError("empty Mobius vector")
 
     def __len__(self) -> int:
         return len(self.values) - 1
@@ -45,35 +48,31 @@ class MobiusVector:
         return self.values[1:].tolist()
 
 
-def _mu_from(table: _poset.PredecessorTable, m: int) -> np.ndarray:
+def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
     """mu(m, k) for k = 0..n, n the table's last element, by the zero-sum recursion.
 
     Entry 0 is 0, and so is entry 1 unless m = 1.  mu(m, m) = 1 and, for
     every other k >= 2, mu(m, k) is minus the sum of mu(m, d) over all
     strict predecessors d of k; a row below m, or not above m, sums only
-    zeros.  The values are computed in the table's runs of rows lo..hi, of
-    at most _RUN_CAP entries, each one gather and one np.add.reduceat;
-    every row k >= 2 holds 1, so none is empty, and every value a run
-    reads is final.  No row of the run holding m reads m, so that run
-    writes 0 over mu(m, m), which is set back to 1.  Before each run, the
-    largest |mu| so far times its longest row must fit in int64, or
-    OverflowError is raised.
+    zeros.  The values are computed in the table's runs of rows lo..hi,
+    each one gather and one np.add.reduceat; every row k >= 2 holds 1, so
+    none is empty, and every value a run reads is final.  No row of the
+    run holding m reads m, so that run writes 0 over mu(m, m), which is
+    set back to 1.  Before each run, the largest |mu| so far times its
+    longest row must fit in int64, or OverflowError is raised.
     """
     mu = np.zeros(len(table), dtype=np.int64)
     mu[m] = 1
     top = 1  # largest |mu| so far, a Python int
-    for lo, hi, starts in table.runs(_poset._RUN_CAP):
-        bound = top * int(np.diff(starts).max())
+    for lo, hi, entries, offsets in table.runs():
+        bound = top * int(np.diff(offsets).max())
         if bound > I64_MAX:
             raise OverflowError(
                 f"Mobius sums at n = {lo}..{hi} may reach {bound}, "
                 "beyond the signed 64-bit range"
             )
         # the gather is a temporary, freed before the next run's is built
-        np.negative(
-            np.add.reduceat(mu[table.indices[starts[0] : starts[-1]]], starts[:-1] - starts[0]),
-            out=mu[lo : hi + 1],
-        )
+        np.negative(np.add.reduceat(mu[entries], offsets[:-1]), out=mu[lo : hi + 1])
         top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
         if lo <= m <= hi:
             mu[m] = 1
@@ -137,9 +136,9 @@ def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
     """Dense incidence matrix of the poset restricted to 1..n (n <= DENSE_CAP)."""
     if n > DENSE_CAP:
         raise ValueError(f"dense matrix size {n} exceeds the cap DENSE_CAP = {DENSE_CAP}")
-    table = poset.predecessor_table(n)
     z = np.eye(n, dtype=np.int8)
-    z[np.repeat(np.arange(n), np.diff(table.indptr[1:])), table.indices - 1] = 1
+    for lo, hi, entries, offsets in poset.predecessor_table(n).runs():
+        z[np.repeat(np.arange(lo - 1, hi), np.diff(offsets)), entries - 1] = 1
     return ZetaMatrix(z)
 
 

@@ -110,7 +110,7 @@ class PredecessorTable:
     Row k is indices[indptr[k]:indptr[k + 1]], ascending; indptr is int64
     with n + 2 entries and indices is int32.  len(t) == n + 1, t.row(k) is
     row k as an int32 view, iteration yields those views in order, and
-    runs(cap) cuts rows 2..n into runs.  The arrays are read-only.
+    runs() cuts rows 2..n into runs.  The arrays are read-only.
     """
 
     indptr: np.ndarray
@@ -132,22 +132,25 @@ class PredecessorTable:
         ptr = self.indptr.tolist()
         return map(self.indices.__getitem__, map(slice, ptr, ptr[1:]))
 
-    def runs(self, cap: int):
-        """Yield (lo, hi, indptr[lo:hi + 2]) for runs of rows lo..hi tiling 2..n.
+    def runs(self):
+        """Yield (lo, hi, entries, offsets) for runs of rows lo..hi tiling 2..n.
 
-        A run holds at most cap entries (a single row always runs) and ends
-        just before the first row whose last entry is >= lo, so no row of a
-        run reads an element at or past lo, whatever the sequence.
+        entries is the run's slice of indices, a view; row k of the run is
+        entries[offsets[k - lo]:offsets[k - lo + 1]].  A run holds at most
+        _RUN_CAP entries (a single row always runs) and ends just before the
+        first row whose last entry is >= lo, so no row of a run reads an
+        element at or past lo, whatever the sequence.
         """
         indptr, indices = self.indptr, self.indices
         lo = 2
         while lo < len(self):
-            # rows lo..hi hold at most cap entries, or hi = lo
-            hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + cap, "right")) - 2)
+            # rows lo..hi hold at most _RUN_CAP entries, or hi = lo
+            hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + _RUN_CAP, "right")) - 2)
             reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
             if reads_lo.any():
                 hi = lo + int(reads_lo.argmax())
-            yield lo, hi, indptr[lo : hi + 2]
+            start = indptr[lo]
+            yield lo, hi, indices[start : indptr[hi + 1]], indptr[lo : hi + 2] - start
             lo = hi + 1
 
 
@@ -231,34 +234,31 @@ class DivisibilityPoset:
         maximal chain from z up to y lies in row j.  So each entry (j, w)
         gathers only w's cover row, the edges already found with upper w,
         kept in a CSR by upper (cptr, cover) that grows in place.  Rows go
-        in the table's runs of at most _RUN_CAP entries, so every cover row
-        a run reads is final.  Within a run the entries (j, z) have
-        ascending keys j*(n+1) + z, and a binary search marks each gathered
-        c by the key j*(n+1) + c, an entry of row j by transitivity.  The
-        unmarked entries are the covers.
+        in the table's runs, so every cover row a run reads is final.
+        Within a run the entries (j, z) have ascending keys j << 32 | z, and
+        a binary search marks each gathered c by the key j << 32 | c, an
+        entry of row j by transitivity.  The unmarked entries are the covers.
         """
-        self._check_index(n)
         table = self.predecessor_table(n)
         cptr = np.zeros(n + 2, dtype=np.int64)
         cover = np.zeros(0, dtype=np.int32)
         size = 0
-        for lo, hi, starts in table.runs(_RUN_CAP):
-            z = table.indices[starts[0] : starts[-1]]
-            base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(starts))
-            base *= n + 1  # the key of entry (j, z) is base + z = j*(n+1) + z
+        for lo, hi, z, offsets in table.runs():
+            base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(offsets))
+            base <<= 32  # the key of entry (j, z) is base | z
             # the cover row of z, gathered once per entry (j, z)
             first = cptr[z]
             hops = cptr[z + 1] - first
             start = np.repeat(first - (np.cumsum(hops) - hops), hops)
             below = cover[start + np.arange(len(start), dtype=np.int64)]
             keep = np.ones(len(z), dtype=bool)
-            keep[np.searchsorted(base + z, np.repeat(base, hops) + below)] = False
+            keep[np.searchsorted(base | z, np.repeat(base, hops) | below)] = False
             kept = z[keep]
             if size + len(kept) > len(cover):
                 cover.resize(size + len(kept) + size // 4, refcheck=False)
             cover[size : size + len(kept)] = kept
             # every row holds a cover, so no reduceat segment is empty
-            per_row = np.add.reduceat(keep, starts[:-1] - starts[0], dtype=np.int64)
+            per_row = np.add.reduceat(keep, offsets[:-1], dtype=np.int64)
             cptr[lo + 1 : hi + 2] = size + np.cumsum(per_row)
             size += len(kept)
         upper = np.repeat(np.arange(n + 1, dtype=np.int32), np.diff(cptr))
@@ -341,22 +341,22 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
     """Assemble the table on 1..n from blocks (lo, hi, row, pred).
 
     The blocks cover the rows 2..n in ascending order, each holding the
-    entries of its rows lo..hi in any order.  Sorting the keys row*n + pred
-    orders a block by row and then by predecessor (pred < row <= n).  The
-    entries go into one buffer grown in place, so the table is never held
-    twice.  Both arrays grow with the blocks; resize fills with zeros.
+    entries of its rows lo..hi in any order.  Sorting the keys row << 32 | pred
+    orders a block by row and then by predecessor.  The entries go into
+    one buffer grown in place, so the table is never held twice.  Both
+    arrays grow with the blocks; resize fills with zeros.
     """
     indptr = np.zeros(2, dtype=np.int64)  # rows 0 and 1 are empty
     indices = np.zeros(0, dtype=np.int32)
     size = 0
     for lo, hi, row, pred in blocks:
-        key = np.sort(row * n + pred)
+        key = np.sort(row << 32 | pred)
         if size + len(key) > len(indices):
             indices.resize(size + len(key) + size // 4, refcheck=False)
-        indices[size : size + len(key)] = key % n
+        indices[size : size + len(key)] = key.astype(np.int32)  # the low 32 bits
         size += len(key)
         indptr.resize(hi + 2, refcheck=False)
-        indptr[lo + 1 :] = np.bincount(key // n - lo, minlength=hi - lo + 1)
+        indptr[lo + 1 :] = np.bincount((key >> 32) - lo, minlength=hi - lo + 1)
     indptr.resize(n + 2, refcheck=False)
     np.cumsum(indptr, out=indptr)
     indices.resize(size, refcheck=False)

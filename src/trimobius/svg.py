@@ -11,7 +11,6 @@ from itertools import chain
 import numpy as np
 
 from . import bfile
-from .analysis import SeriesReport
 
 _GRAY = (217, 217, 217)
 _BLUE = (33, 102, 172)
@@ -53,10 +52,11 @@ def _scale(values, lo, hi, px_lo, px_hi):
     return px_lo + (values - lo) * (px_hi - px_lo) / (hi - lo)
 
 
-def line_chart_pieces(series: SeriesReport):
+def line_chart_pieces(series):
     """Standalone SVG line chart with axes and the series name as title, in pieces.
 
-    The series is checked and the head made here; the polyline points then
+    series is an analysis.SeriesReport, or any sized value with .name and
+    .ys.  It is checked and the head made here; the polyline points then
     come _POINT_CHUNK at a time, each chunk's pixel coordinates scaled and
     written by bfile.fixed_text as "{:.2f}" would.
     """
@@ -116,7 +116,7 @@ def _points(ys, ymin, ymax):
         yield text if hi < n else text[:-1]
 
 
-def svg_line_chart(series: SeriesReport) -> str:
+def svg_line_chart(series) -> str:
     """The text of line_chart_pieces as one str."""
     return "".join(line_chart_pieces(series))
 

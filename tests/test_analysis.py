@@ -463,6 +463,13 @@ class TestMagnitudeRecords:
         vec = mobius_one_var(tri_poset_1e5)
         assert magnitude_records(vec, signed).rows == _loop_records(vec.terms(), signed)
 
+    def test_int8_minimum_does_not_wrap(self):
+        # np.abs(-128) is -128 in int8; the records must read 128, as int64 does
+        values = np.array([0, -128, 1], dtype=np.int8)
+        table = magnitude_records(MobiusVector(TRI, values))
+        assert len(table.rows) == 128 and table.first_at_least(1) == 1
+        assert table.rows == magnitude_records(MobiusVector(TRI, values.astype(np.int64))).rows
+
     def test_lookup_helpers(self, mu_tri_10k):
         vec, _ = mu_tri_10k
         table = magnitude_records(vec)

@@ -65,6 +65,33 @@ def test_all_is_exactly_the_reexports():
         assert hasattr(trimobius, name), name
 
 
+def test_only_poset_reads_the_table_arrays():
+    # the predecessor table hands out its runs; no other module slices its CSR
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in _MODULES
+        if path.stem != "poset"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices")
+    ]
+    assert not readers, f"table arrays read outside poset.py: {readers}"
+
+
+def test_runs_takes_no_argument():
+    # the run cap has one value, _RUN_CAP, which runs() reads itself
+    tree = _tree(_PACKAGE / "poset.py")
+    (runs,) = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "PredecessorTable"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "runs"
+    ]
+    params = runs.args
+    assert [a.arg for a in params.posonlyargs + params.args] == ["self"]
+    assert not (params.vararg or params.kwonlyargs or params.kwarg)
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     """Each private name the module defines at its top level, or in the body
     of a top-level class -> its line: functions, classes and constants."""

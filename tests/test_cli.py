@@ -18,11 +18,13 @@ from trimobius import (
     classical_mertens,
     classical_mobius,
     cli,
+    invert_zeta,
     mertens_tri,
     mobius_one_var,
     ratio_sums_index,
     ratio_sums_triangular,
     svg,
+    zeta_matrix,
 )
 from trimobius import poset as poset_module
 from trimobius.cli import main
@@ -264,6 +266,18 @@ class TestMatrixCommands:
         code, out, _ = run(capsys, "zeta-matrix", "-n", "3", "--format", "json")
         assert code == 0
         assert json.loads(out)["rows"] == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+
+    @pytest.mark.parametrize("kind", SequenceKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    def test_json_is_json_dumps(self, capsys, monkeypatch, kind, n):
+        # blocks of 7 rows, so the row separator also falls between blocks
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        zeta = zeta_matrix(DivisibilityPoset(kind, n), n)
+        for command, matrix in (("zeta-matrix", zeta), ("mobius-matrix", invert_zeta(zeta))):
+            argv = [command, "--kind", kind.value, "-n", str(n), "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps({"n": n, "rows": matrix.array.tolist()}) + "\n", command
 
 
 class TestGraphCommands:

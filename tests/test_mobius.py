@@ -16,6 +16,7 @@ from trimobius import (
     DENSE_CAP,
     DivisibilityPoset,
     MobiusMatrix,
+    MobiusVector,
     SequenceKind,
     ZetaMatrix,
     classical_mobius,
@@ -75,6 +76,11 @@ class TestOneVar:
             vec.value(11)
         with pytest.raises(IndexError):
             vec.value(0)
+
+    @pytest.mark.parametrize("values", [np.array([0]), np.zeros(0, dtype=np.int64)])
+    def test_rejects_an_empty_vector(self, values):
+        with pytest.raises(ValueError, match="empty Mobius vector"):
+            MobiusVector(TRI, values)
 
 
 class _TablePoset:

@@ -249,18 +249,23 @@ class TestPredecessorTable:
 class TestRuns:
     @pytest.mark.parametrize("cap", [1, 7, 1 << 14, 1 << 20])
     @pytest.mark.parametrize("source", ["random", "triangular 1e5"])
-    def test_runs_are_maximal_and_read_no_later_row(self, source, cap, random_ascending_table):
+    def test_runs_are_maximal_and_read_no_later_row(
+        self, source, cap, random_ascending_table, monkeypatch
+    ):
         if source == "random":
             table = random_ascending_table(cap)[1]
         else:
             table = DivisibilityPoset(TRI, 100_000).predecessor_table(100_000)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
         n = len(table) - 1
         ptr = table.indptr.tolist()
         last = [row[-1] if row else 0 for row in _rows(table)]
         his = [1]
-        for lo, hi, starts in table.runs(cap):
+        for lo, hi, entries, offsets in table.runs():
             assert lo == his[-1] + 1 and lo <= hi <= n  # the runs tile 2..n in order
-            assert starts.tolist() == ptr[lo : hi + 2]
+            assert (offsets + ptr[lo]).tolist() == ptr[lo : hi + 2]
+            assert np.array_equal(entries, table.indices[ptr[lo] : ptr[hi + 1]])
+            assert np.shares_memory(entries, table.indices) or not len(entries)
             assert ptr[hi + 1] - ptr[lo] <= cap or hi == lo
             assert max(last[lo : hi + 1]) < lo
             # maximal: row hi + 1 would read lo or pass the cap
@@ -513,8 +518,7 @@ class TestHasseEdges:
         # the rows where a run of hasse_edges stops short of its cap: the
         # first row whose last predecessor is at or past the run's start
         table = poset.predecessor_table(n)
-        runs = table.runs(poset_module._RUN_CAP)
-        cuts = [hi + 1 for lo, hi, _ in runs if hi < n and table.row(hi + 1)[-1] >= lo]
+        cuts = [hi + 1 for lo, hi, *_ in table.runs() if hi < n and table.row(hi + 1)[-1] >= lo]
         rng = random.Random(1972)
         rows = rng.sample(cuts, 4) + rng.sample(range(2, n + 1), 6)
         for j in rows:
