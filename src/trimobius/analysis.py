@@ -1,6 +1,8 @@
 """Partial-sum series, magnitude records, and the classical Mobius baseline.
 
-Series over integer terms stay exact, in int64.  The two ratio series are
+Series over integer terms stay exact, each in the narrowest signed type
+holding its bound (poset.int_type), so widen one before further arithmetic
+on it.  The two ratio series are
 float64 arrays: through EXACT_RATIO_LIMIT (10,000) terms each entry is
 float() of the exact rational partial sum, accumulated as one integer
 numerator over the running lcm of the denominators; beyond it,
@@ -18,7 +20,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .mobius import MobiusVector
-from .poset import I64_MAX, SequenceKind, sequence_value, sequence_values
+from .poset import I64_MAX, SequenceKind, int_type, sequence_value, sequence_values
 
 EXACT_RATIO_LIMIT = 10_000
 
@@ -31,7 +33,8 @@ class SeriesReport:
     """A named prefix-sum series with slope estimates.
 
     ys[k] is the partial sum through index k + 1.  An integer series holds
-    an int64 array; a ratio series a float64 array, whose exact prefix
+    an array of the narrowest signed type holding N times its largest
+    |term| (poset.int_type); a ratio series a float64 array, whose exact prefix
     survives only as final_value when N is within it.  final_value is a
     Python int, Fraction or float.  slope_estimate is the headline
     per-index slope; slope_lsq is an ordinary least-squares slope kept
@@ -60,7 +63,7 @@ def _endpoint_slope(first, last, n: int):
 
 # Terms per block of the compensated ratio sums and per leaf of _lsq_slope:
 # besides ys they hold one block of float64 temporaries, whatever N.
-_RATIO_BLOCK = 1 << 16
+_RATIO_BLOCK = 1 << 14
 
 
 def _pairwise(lo: int, hi: int, leaf) -> tuple:
@@ -116,20 +119,22 @@ def _lsq_slope(ys) -> float:
 
 
 def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """int64 prefix sums of the terms, or of their magnitudes.
+    """Exact prefix sums of the terms, or of their magnitudes.
 
     len(terms) times the largest |term| bounds every prefix sum; it is
     taken in Python integers, so OverflowError is raised before an int64
-    sum could wrap.  The terms are copied into the output array and summed
-    there, so the call makes no other N-length array.
+    sum could wrap, and the sums are held in int_type of it.  The terms
+    are copied into the output array and summed there, so the call makes
+    no other N-length array.
     """
     top = max(int(terms.max()), -int(terms.min()))
-    if top * len(terms) > I64_MAX:
+    bound = top * len(terms)
+    if bound > I64_MAX:
         raise OverflowError(
             f"partial sums of {len(terms)} terms up to {top} in magnitude "
             "may leave the signed 64-bit range"
         )
-    sums = np.empty(len(terms), dtype=np.int64)
+    sums = np.empty(len(terms), dtype=int_type(bound))
     sums[...] = terms
     if absolute:
         np.abs(sums, out=sums)
@@ -137,7 +142,7 @@ def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
 
 
 def _sum_series(name: str, terms: np.ndarray, absolute: bool = False) -> SeriesReport:
-    """The exact prefix sums of integer terms (or |terms|) as a named int64 series."""
+    """The exact prefix sums of integer terms (or |terms|) as a named series."""
     sums = _partial_sums(terms, absolute)
     final = int(sums[-1])
     return SeriesReport(

@@ -163,8 +163,8 @@ _SERIES = {
 }
 # Ratio series hold floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
-# Integer terms arrive as their JSON payload, with the int64 or int8 array
-# of the terms under "values", its last key.
+# Integer terms arrive as their JSON payload, with the integer array of the
+# terms (the narrowest type holding them) under "values", its last key.
 _TERMS = {
     "bfile": lambda payload: bfile.bfile_pieces(payload["values"]),
     "csv": lambda payload: _index_csv(payload["values"]),
@@ -264,25 +264,38 @@ def cmd_classical(args) -> int:
                   lambda a: analysis.classical_mertens(analysis.classical_mobius(a.limit)), args)
 
 
+# Rows of the relation per block of verify: a block's uint64 remainders and
+# int64 products take 0.5 MB at n = DENSE_CAP, not n x n of them.
+_VERIFY_ROWS = 64
+
+
 def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.MobiusVector:
-    """Check the table, and mu by R.mu = e_1, against the order R on 1..n; return mu."""
+    """Check the table, and mu by R.mu = e_1, against the order R on 1..n; return mu.
+
+    R is built and used _VERIFY_ROWS rows at a time.
+    """
     poset = DivisibilityPoset(kind, n)
     # zeta_matrix refuses n > DENSE_CAP before any table is built
-    zeta = mobius.zeta_matrix(poset, n)
-    # R[i-1, j-1] = 1 iff the j-th sequence value divides the i-th
+    zeta = mobius.zeta_matrix(poset, n).array
     values = sequence_values(kind, np.arange(1, n + 1, dtype=np.uint64))
-    relation = values[:, None] % values == 0
-    differs = np.flatnonzero((zeta.array != relation).any(1))
-    if len(differs):
-        failures.append(f"{kind.value}: predecessor row {differs[0] + 1} differs")
     vec = mobius.mobius_one_var(poset, n)
-    mu = vec.values[1:]
+    mu = vec.values[1:].astype(np.int64)  # a product with narrower mu would wrap
     # each of the n terms of a row sum is at most max |mu|, in Python integers
     bound = max(int(mu.max()), -int(mu.min())) * n
+    differs = np.zeros(n, dtype=bool)
+    sums = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _VERIFY_ROWS):
+        block = slice(lo, lo + _VERIFY_ROWS)
+        # R[i-1, j-1] = 1 iff the j-th sequence value divides the i-th
+        relation = values[block, None] % values == 0
+        differs[block] = (zeta[block] != relation).any(1)
+        if bound <= I64_MAX:
+            sums[block] = relation @ mu
+    if differs.any():
+        failures.append(f"{kind.value}: predecessor row {differs.argmax() + 1} differs")
     if bound > I64_MAX:
         failures.append(f"{kind.value}: zero sums may reach {bound}, beyond int64")
         return vec
-    sums = relation @ mu
     sums[0] -= 1
     broken = np.flatnonzero(sums)
     if len(broken):

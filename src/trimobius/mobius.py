@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import I64_MAX, DivisibilityPoset, PredecessorTable, SequenceKind
+from .poset import I64_MAX, DivisibilityPoset, PredecessorTable, SequenceKind, int_type
 
 # Largest n for which a dense n x n matrix is ever materialized.
 DENSE_CAP = 1000
@@ -22,8 +22,11 @@ class MobiusVector:
     """One-variable values mu(1, n) for n = 1..len(self), as an integer array.
 
     values[0] is an unused slot so that values[n] is the n-th entry.  The
-    recursion fills int64; the classical sieve (identity kind) fills int8.
-    value() and terms() hand out Python ints.  ValueError if it holds no term.
+    recursion fills the narrowest signed type holding its largest |value|
+    (poset.int_type), int8 through N = 10**7; the classical sieve
+    (identity kind) fills int8.  Arithmetic on values wraps in that type,
+    so widen first.  value() and terms() hand out Python ints.  ValueError
+    if it holds no term.
     """
 
     kind: SequenceKind
@@ -55,13 +58,15 @@ def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
     every other k >= 2, mu(m, k) is minus the sum of mu(m, d) over all
     strict predecessors d of k; a row below m, or not above m, sums only
     zeros.  The values are computed in the table's runs of rows lo..hi,
-    each one gather and one np.add.reduceat; every row k >= 2 holds 1, so
-    none is empty, and every value a run reads is final.  No row of the
-    run holding m reads m, so that run writes 0 over mu(m, m), which is
-    set back to 1.  Before each run, the largest |mu| so far times its
-    longest row must fit in int64, or OverflowError is raised.
+    each one gather and one int64 np.add.reduceat; every row k >= 2 holds
+    1, so none is empty, and every value a run reads is final.  No row of
+    the run holding m reads m, so that run writes 0 over mu(m, m), which
+    is set back to 1.  Before each run, the largest |mu| so far times its
+    longest row must fit in int64, or OverflowError is raised.  mu starts
+    as int8 and is widened to int_type(largest |mu|) when a run's sums
+    pass its type, so it is returned in the narrowest type holding them.
     """
-    mu = np.zeros(len(table), dtype=np.int64)
+    mu = np.zeros(len(table), dtype=np.int8)
     mu[m] = 1
     top = 1  # largest |mu| so far, a Python int
     for lo, hi, entries, offsets in table.runs():
@@ -72,8 +77,11 @@ def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
                 "beyond the signed 64-bit range"
             )
         # the gather is a temporary, freed before the next run's is built
-        np.negative(np.add.reduceat(mu[entries], offsets[:-1]), out=mu[lo : hi + 1])
-        top = max(top, int(np.abs(mu[lo : hi + 1]).max()))
+        sums = np.add.reduceat(mu[entries], offsets[:-1], dtype=np.int64)
+        top = max(top, int(np.abs(sums).max()))
+        if top > np.iinfo(mu.dtype).max:
+            mu = mu.astype(int_type(top))
+        np.negative(sums, out=mu[lo : hi + 1])
         if lo <= m <= hi:
             mu[m] = 1
     return mu
@@ -82,6 +90,7 @@ def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
 def mobius_one_var(poset: DivisibilityPoset, n: int | None = None) -> MobiusVector:
     """Compute mu(1, k) for k = 1..n by the zero-sum recursion from 1.
 
+    The values come in the narrowest signed type holding them.
     OverflowError if a sum could leave the signed 64-bit range.
     """
     if n is None:

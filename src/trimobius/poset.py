@@ -19,6 +19,17 @@ U64_MAX = 2**64 - 1
 I64_MAX = 2**63 - 1
 I32_MAX = 2**31 - 1
 
+
+def int_type(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in -bound..bound.
+
+    Exact integer arrays (Mobius values, partial sums) are stored in it.
+    It is asked for -bound - 1, not -bound, so that +bound fits as well:
+    int8 holds -128 but not +128.  bound must be at most I64_MAX.
+    """
+    return np.min_scalar_type(-bound - 1)
+
+
 # Largest i with i(i+1)/2 <= U64_MAX.
 MAX_TRIANGULAR_INDEX = 6_074_000_999
 

@@ -49,7 +49,7 @@ def mu1000(tri_poset):
 class TestMertens:
     def test_first_ten(self):
         report = mertens_tri(_vec(MU_TRI_10))
-        assert report.ys.dtype == np.int64
+        assert report.ys.dtype == np.int8  # int_type(10 terms times |mu| <= 1)
         assert report.ys.tolist() == [1, 0, 0, -1, -1, -1, -2, -2, -2, -3]
         assert report.final_value == -3
 
@@ -89,7 +89,7 @@ class TestInt64PartialSums:
     def test_plain_ints_and_slopes(self, mu1000):
         mertens = mertens_tri(mu1000)
         for report in (mertens, abs_sums(mu1000)):
-            assert report.ys.dtype == np.int64
+            assert report.ys.dtype == np.int16  # 1000 terms times a small |mu|
             ys = report.ys.tolist()
             assert type(report.final_value) is int and report.final_value == ys[-1]
             slope = report.slope_estimate
@@ -100,7 +100,7 @@ class TestInt64PartialSums:
 
     def test_classical_sums_from_int8(self):
         report = classical_mertens(classical_mobius(1000))
-        assert report.ys.dtype == np.int64
+        assert report.ys.dtype == np.int16  # int_type(1000 terms times |mu| <= 1)
         assert type(report.final_value) is int
         assert report.ys.tolist() == list(
             itertools.accumulate(classical_mobius(1000).terms())
@@ -122,9 +122,9 @@ class TestInt64PartialSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ys is 8 MB; an int64 copy of the int8 terms and a whole-array slope
-        # took ~24 MB
-        assert peak < 10 << 20
+        # ys is 4 MB of int32 (8 MB in int64); an int64 copy of the int8
+        # terms and a whole-array slope took ~24 MB
+        assert peak < 5 << 20
 
     def test_abs_sums_hold_one_int64_array(self):
         mu = MobiusVector(SequenceKind.IDENTITY, classical_mobius(10**6).values.astype(np.int64))
@@ -135,6 +135,36 @@ class TestInt64PartialSums:
         finally:
             tracemalloc.stop()
         assert peak < 10 << 20  # an np.abs copy of the terms took ~32 MB
+
+    def test_ratio_sums_hold_ys_and_a_block(self):
+        mu = classical_mobius(10**6)
+        tracemalloc.start()
+        try:
+            report = ratio_sums_index(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ys is 8 MB of float64; blocks of 2**16 terms took 3.6 MB beside it
+        assert peak < report.ys.nbytes + (2 << 20)
+
+    @pytest.mark.parametrize(
+        "terms, dtype",
+        [
+            ([127], np.int8), ([-127], np.int8), ([128], np.int16), ([-128], np.int16),
+            ([1] * 127, np.int8), ([1] * 128, np.int16), ([64, 64], np.int16),
+            ([32767], np.int16), ([-32768], np.int32), ([16384, 16384], np.int32),
+            ([2**31 - 1], np.int32), ([-(2**31 - 1)], np.int32),
+            ([2**30, 2**30], np.int64), ([-(2**31)], np.int64),
+        ],
+    )
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_sums_take_the_narrowest_type_of_their_bound(self, terms, dtype, absolute):
+        # len(terms) * max |term| must fit the type as +bound, not only as
+        # -bound: [64, 64] sums to 128, which int8 wraps to -128
+        ys = analysis_module._partial_sums(np.array(terms, dtype=np.int64), absolute)
+        expected = itertools.accumulate(map(abs, terms) if absolute else terms)
+        assert ys.tolist() == list(expected)
+        assert ys.dtype == dtype
 
 
 def _float_list_lsq_slope(ys):

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,37 @@ class TestVerifyCommand:
         assert code == 1
         assert out == f"FAIL: triangular: zero-sum broken at n={k}\n"
 
+    def test_reports_a_row_summing_to_256(self, capsys, monkeypatch):
+        # mu(17) raised by 256, in int16: row 17 sums to 256, which int8 wraps to 0
+        real = cli.mobius.mobius_one_var
+
+        def raised(poset, n=None):
+            vec = real(poset, n)
+            if poset.kind is not SequenceKind.TRIANGULAR:
+                return vec
+            values = vec.values.astype(np.int16)
+            values[17] += 256
+            return MobiusVector(kind=vec.kind, values=values)
+
+        monkeypatch.setattr(cli.mobius, "mobius_one_var", raised)
+        code, out, _ = run(capsys, "verify", "-n", "50")
+        assert code == 1
+        assert out == "FAIL: triangular: zero-sum broken at n=17\n"
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_holds_a_block_of_the_relation(self, kind):
+        # the 1 MB int8 zeta matrix and blocks of rows; the whole n x n
+        # relation took ~9.6 MB, an 8 MB uint64 remainder among it
+        tracemalloc.start()
+        try:
+            failures = []
+            cli._verify_kind(kind, 1000, failures)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == []
+        assert peak < 3 << 20
+
     @pytest.mark.parametrize(
         "dropped, lines",
         [
@@ -459,7 +491,7 @@ class TestVerifyCommand:
             vec = real(poset, n)
             if poset.kind is not SequenceKind.TRIANGULAR:
                 return vec
-            values = vec.values.copy()
+            values = vec.values.astype(np.int64)  # mu comes as int8
             values[17] = -(2**62)
             return MobiusVector(kind=vec.kind, values=values)
 

@@ -109,7 +109,7 @@ class TestBlockedRecursion:
         poset = DivisibilityPoset(kind, 2000)
         for n in (1, 2, 3, 4, 5, 44, 2000):
             vec = mobius_one_var(poset, n)
-            assert vec.values.dtype == np.int64
+            assert vec.values.dtype == np.int8  # |mu| <= 127 on these posets
             assert vec.values.tolist() == list(_row_loop_reference(poset, n)), n
             assert all(type(v) is int for v in vec.terms())
 
@@ -165,6 +165,70 @@ class TestBlockedRecursion:
         for k in range(2, 2001):
             reference.append(-sum(reference[d] for d in rows[k]))
         assert mobius_one_var(_TablePoset(TRI, table)).values.tolist() == reference
+
+
+def _table_reaching(target):
+    """(mu, table): rows on 1..n whose recursion from 1 gives mu, Python ints,
+    with mu(n) = target and no |mu| above |target|.
+
+    Level i holds two elements of mu = 2**i, each with a one-entry row
+    negating it, and the next level's pair reads both negations; row n then
+    reads one element of level i per bit i of |target|, a negation for a
+    positive target.
+    """
+    rows, mu = [[], []], [0, 1]
+
+    def add(row):
+        rows.append(sorted(row))
+        mu.append(-sum(mu[d] for d in row))
+        return len(rows) - 1
+
+    pair = (1, add([add([1])]))  # mu(1) = 1 and mu(3) = -mu(2) = 1
+    plus, minus = [], []
+    for i in range(abs(target).bit_length()):
+        if i:
+            pair = (add(minus[-1]), add(minus[-1]))
+        plus.append(pair[0])
+        minus.append((add([pair[0]]), add([pair[1]])))
+    bits = [i for i in range(abs(target).bit_length()) if abs(target) >> i & 1]
+    add([minus[i][0] for i in bits] if target > 0 else [plus[i] for i in bits])
+    assert mu[-1] == target and max(map(abs, mu)) == abs(target)
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.array([d for r in rows for d in r], dtype=np.int32)
+    return mu, poset_module.PredecessorTable(indptr, indices)
+
+
+class TestNarrowestType:
+    @pytest.mark.parametrize(
+        "target, dtype",
+        [
+            (127, np.int8), (-127, np.int8), (128, np.int16), (-128, np.int16),
+            (32767, np.int16), (-32767, np.int16), (32768, np.int32), (-32768, np.int32),
+            (2**31 - 1, np.int32), (-(2**31 - 1), np.int32),
+            (2**31, np.int64), (-(2**31), np.int64),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [1, 1 << 14])
+    def test_mu_widens_to_hold_its_largest_value(self, monkeypatch, target, dtype, cap):
+        # +128 must not land in int8, where it wraps to -128
+        mu, table = _table_reaching(target)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
+        values = _mu_from(table, 1)
+        assert values.tolist() == mu
+        assert values.dtype == dtype
+
+    def test_mu_holds_one_byte_per_element(self):
+        # int8 mu is 100,001 bytes; int64 took 800,008 before any run
+        table = DivisibilityPoset(TRI, 100_000).predecessor_table(100_000)
+        cap = poset_module._RUN_CAP
+        tracemalloc.start()
+        try:
+            mu = _mu_from(table, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mu.dtype == np.int8
+        assert peak <= 100_001 + 3 * 8 * cap  # and a run's int64 sums and gather
 
 
 class TestTwoVar:
