@@ -45,62 +45,64 @@ def _emit(pieces, out) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
-
-
 # Rows per piece of the float writers: .tolist() and the per-row strings
 # take ~100 bytes of Python objects per row, so a piece stays near 0.4 MB.
 _PIECE_ROWS = 1 << 12
 
 
-def _json_array(values: np.ndarray | range):
-    """Numbers as json.dumps(..., indent=2) writes a list one level deep, in pieces.
+def _json_pieces(payload, indent=None):
+    """The payload as json.dumps(payload, indent=indent) writes it, plus a newline, in pieces.
 
-    An integer array or a range is written by bfile.decimal_blocks; a
-    float64 array by repr, which is what json writes for a finite float,
-    over .tolist() (repr of an np.float64 is not its number).
+    json lays out the payload with each ndarray or range in it swapped for
+    a marker, and each array is written at its marker a block at a time,
+    with json's separators: integers by bfile.decimal_blocks, a 2-D array
+    (indent None only) as its list of rows, and float64 by repr, which is
+    what json writes for a finite float, over .tolist() (repr of an
+    np.float64 is not its number).
     """
-    if not len(values):
-        yield "[]"
-        return
-    yield "[\n    "
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        for lo in range(0, len(values), _PIECE_ROWS):
-            rows = ",\n    ".join(map(repr, values[lo : lo + _PIECE_ROWS].tolist()))
-            yield rows if lo == 0 else ",\n    " + rows
-    else:
-        yield from bfile.decimal_blocks([values], "", ",\n    ", joined=True)
-    yield "\n  ]"
+    # Longer than the payload's text with its arrays as null: it equals no
+    # string there, so its token "\u0000..." can start nowhere else.
+    mark = "\0" * len(json.dumps(payload, default=lambda value: None))
+    arrays = []
+    text = json.dumps(payload, indent=indent, default=lambda value: arrays.append(value) or mark)
+    parts = (text + "\n").split(json.dumps(mark))
+    yield parts[0]
+    for values, before, after in zip(arrays, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        close = "" if indent is None else "\n" + line[: len(line) - len(line.lstrip(" "))]
+        open_ = "" if indent is None else close + " " * indent
+        sep, columns = "," + (open_ or " "), [values]
+        if getattr(values, "ndim", 1) == 2:
+            open_, close, sep, columns = "[", "]", "], [", list(values.T)
+        if not len(values):
+            yield "[]" + after
+            continue
+        yield "[" + open_
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            for lo in range(0, len(values), _PIECE_ROWS):
+                rows = sep.join(map(repr, values[lo : lo + _PIECE_ROWS].tolist()))
+                yield rows if lo == 0 else sep + rows
+        else:
+            yield from bfile.decimal_blocks(columns, ", ", sep, joined=True)
+        yield close + "]" + after
 
 
-def _series_json(report: analysis.SeriesReport):
-    """The series as json.dumps(..., indent=2) writes it, plus a newline, in pieces.
-
-    One piece per field, and xs and ys a block at a time; the scalar
-    fields still go through json.
-    """
-    n = len(report)
-    scalars = {
-        "slope_estimate": _jsonable(report.slope_estimate),
+def _series_payload(report: analysis.SeriesReport) -> dict:
+    """The series as its JSON payload: xs as a range, a Fraction as its float."""
+    n, slope, final = len(report), report.slope_estimate, report.final_value
+    payload = {
+        "name": report.name,
+        "xs": range(1, n + 1),
+        "ys": report.ys,
+        "slope_estimate": float(slope) if isinstance(slope, Fraction) else slope,
         "slope_lsq": report.slope_lsq,
-        "final_value": _jsonable(report.final_value),
+        "final_value": float(final) if isinstance(final, Fraction) else final,
     }
-    if isinstance(report.slope_estimate, Fraction):
-        scalars["slope_estimate_exact"] = str(report.slope_estimate)
+    if isinstance(slope, Fraction):
+        payload["slope_estimate_exact"] = str(slope)
     if n >= 2:
-        scalars["drift_last_half"] = abs(
-            float(report.ys[-1]) - float(report.ys[n // 2 - 1])
-        )
-    yield '{\n  "name": ' + json.dumps(report.name) + ',\n  "xs": '
-    yield from _json_array(range(1, n + 1))
-    yield ',\n  "ys": '
-    yield from _json_array(report.ys)
-    for key, value in scalars.items():
-        yield f',\n  "{key}": {json.dumps(value)}'
-    yield "\n}\n"
+        payload["drift_last_half"] = abs(float(report.ys[-1]) - float(report.ys[n // 2 - 1]))
+    return payload
 
 
 def _index_csv(values: np.ndarray):
@@ -126,52 +128,33 @@ def _records_csv(table: analysis.MagnitudeRecordTable) -> list[str]:
     return lines
 
 
-def _records_json(table: analysis.MagnitudeRecordTable) -> list[str]:
-    rows = [
-        {"magnitude": r.magnitude, "first_geq": r.first_at_least, "first_eq": r.first_equal}
-        for r in table.rows
-    ]
-    return [json.dumps({"signed": table.signed, "rows": rows}, indent=2) + "\n"]
-
-
-def _terms_json(payload):
-    """The payload as json.dumps writes it, plus a newline, in pieces.
-
-    "values", the payload's last key, is written a block at a time by
-    bfile.decimal_blocks; the other fields go through json.
-    """
-    head = json.dumps({**payload, "values": []})
-    yield head[: -len("]}")]
-    yield from bfile.decimal_blocks([payload["values"]], "", ", ", joined=True)
-    yield "]}\n"
-
-
-def _matrix_json(matrix):
-    """The matrix as json.dumps writes {"n": n, "rows": rows}, plus a newline, in pieces."""
-    yield '{"n": %d, "rows": [[' % matrix.n
-    yield from bfile.decimal_blocks(list(matrix.array.T), ", ", "], [", joined=True)
-    yield "]]}\n"
-
-
 # One table per output shape: --format -> writer of the value's text, as an
 # iterable of pieces that _emit writes in order.
 _SERIES = {
     "bfile": lambda report: bfile.bfile_pieces(report.ys),
     "csv": _series_csv,
-    "json": _series_json,
+    "json": lambda report: _json_pieces(_series_payload(report), indent=2),
     "svg": svg.line_chart_pieces,
 }
 # Ratio series hold floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
 # Integer terms arrive as their JSON payload, with the integer array of the
-# terms (the narrowest type holding them) under "values", its last key.
+# terms (the narrowest type holding them) under "values".
 _TERMS = {
     "bfile": lambda payload: bfile.bfile_pieces(payload["values"]),
     "csv": lambda payload: _index_csv(payload["values"]),
-    "json": _terms_json,
+    "json": _json_pieces,
 }
-_MATRIX = {"csv": lambda matrix: [exports.matrix_to_csv(matrix)], "json": _matrix_json}
-_RECORDS = {"csv": _records_csv, "json": _records_json}
+_MATRIX = {
+    "csv": lambda matrix: [exports.matrix_to_csv(matrix)],
+    "json": lambda matrix: _json_pieces({"n": matrix.n, "rows": matrix.array}),
+}
+_RECORDS = {
+    "csv": _records_csv,
+    "json": lambda table: _json_pieces({"signed": table.signed, "rows": [
+        {"magnitude": r.magnitude, "first_geq": r.first_at_least, "first_eq": r.first_equal}
+        for r in table.rows]}, indent=2),
+}
 
 
 def _write(table: dict, default: str, value, args) -> int:
@@ -387,9 +370,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ValueError, IndexError, OverflowError, ArithmeticError, OSError, MemoryError
-    ) as exc:
+    except (ValueError, IndexError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

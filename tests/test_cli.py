@@ -20,6 +20,7 @@ from trimobius import (
     classical_mobius,
     cli,
     invert_zeta,
+    magnitude_records,
     mertens_tri,
     mobius_one_var,
     ratio_sums_index,
@@ -125,15 +126,19 @@ class TestSeriesCommands:
         assert out.startswith("<svg") and out.endswith("</svg>\n")
 
 
+def _as_float(value):
+    return float(value) if isinstance(value, Fraction) else value
+
+
 def _reference_payload(report):
     """The series payload that json.dumps(..., indent=2) used to write whole."""
     payload = {
         "name": report.name,
         "xs": list(range(1, len(report) + 1)),
         "ys": report.ys.tolist(),
-        "slope_estimate": cli._jsonable(report.slope_estimate),
+        "slope_estimate": _as_float(report.slope_estimate),
         "slope_lsq": report.slope_lsq,
-        "final_value": cli._jsonable(report.final_value),
+        "final_value": _as_float(report.final_value),
     }
     if isinstance(report.slope_estimate, Fraction):
         payload["slope_estimate_exact"] = str(report.slope_estimate)
@@ -149,7 +154,7 @@ class TestSeriesJson:
         return mobius_one_var(tri_poset, 2000)
 
     def _check(self, report):
-        pieces = list(cli._series_json(report))
+        pieces = list(cli._SERIES["json"](report))
         assert all(type(piece) is str for piece in pieces)
         assert "".join(pieces) == json.dumps(_reference_payload(report), indent=2) + "\n"
 
@@ -172,7 +177,7 @@ class TestSeriesJson:
         # pieces of 7 rows: the separators between blocks
         monkeypatch.setattr(cli, "_PIECE_ROWS", 7)
         self._check(exact)
-        assert len(list(cli._series_json(exact))) > 2000 // 7
+        assert len(list(cli._SERIES["json"](exact))) > 2000 // 7
 
     def test_one_element_series(self):
         one = MobiusVector(kind=SequenceKind.TRIANGULAR, values=np.array([0, 1]))
@@ -183,10 +188,61 @@ class TestSeriesJson:
     def test_hand_built_series(self):
         floats = np.array([-(2.0**53) - 2, 1 / 3, 0.1, -0.0, 1e-300, 5e22, -7.5])
         ints = np.array([2**62 + 1, -(2**53) - 1, -(2**63), 0, 7])
-        for ys in (floats, ints, np.array([0.5, -1e-7, 3.0]), np.array([])):
-            report = SeriesReport(name='odd "name"', ys=ys, slope_estimate=Fraction(2, 7),
-                                  slope_lsq=-1.5e-7, final_value=ys[-1].item() if len(ys) else 0)
-            self._check(report)
+        arrays = (floats, ints, np.array([0.5, -1e-7, 3.0]), np.array([]),
+                  np.array([], dtype=np.int64))
+        # names that look like a key of the payload or like the writer's marker
+        for name in ('odd "name"', "ys", "xs", "", "\0", "\0" * 300, '"ys": "\0"'):
+            for ys in arrays:
+                report = SeriesReport(name=name, ys=ys, slope_estimate=Fraction(2, 7),
+                                      slope_lsq=-1.5e-7,
+                                      final_value=ys[-1].item() if len(ys) else 0)
+                self._check(report)
+
+
+def _records_payload(table):
+    rows = [{"magnitude": r.magnitude, "first_geq": r.first_at_least, "first_eq": r.first_equal}
+            for r in table.rows]
+    return {"signed": table.signed, "rows": rows}
+
+
+# Each JSON-writing command -> (its payload from the library's values at mu or
+# n, the indent json.dumps lays it out with).
+_JSON_COMMANDS = {
+    "sums": lambda mu, n: (_reference_payload(mertens_tri(mu)), 2),
+    "abs-sums": lambda mu, n: (_reference_payload(abs_sums(mu)), 2),
+    "ratio-sums --denom index": lambda mu, n: (_reference_payload(ratio_sums_index(mu)), 2),
+    "ratio-sums --denom value": lambda mu, n: (_reference_payload(ratio_sums_triangular(mu)), 2),
+    "mobius": lambda mu, n: ({"kind": mu.kind.value, "values": mu.values[1:].tolist()}, None),
+    "zeta-matrix": lambda mu, n: (
+        {"n": n, "rows": zeta_matrix(DivisibilityPoset(mu.kind, n), n).array.tolist()}, None),
+    "mobius-matrix": lambda mu, n: ({"n": n, "rows": invert_zeta(
+        zeta_matrix(DivisibilityPoset(mu.kind, n), n)).array.tolist()}, None),
+    "records": lambda mu, n: (_records_payload(magnitude_records(mu)), 2),
+    "records --signed": lambda mu, n: (_records_payload(magnitude_records(mu, signed=True)), 2),
+}
+
+
+class TestJsonOutputs:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 15])
+    @pytest.mark.parametrize("command", [
+        *(f"{c} --kind {k.value}" for c in _JSON_COMMANDS for k in SequenceKind),
+        "classical --series mobius", "classical --series mertens",
+    ])
+    def test_output_is_json_dumps_of_the_payload(self, capsys, monkeypatch, command, n):
+        # pieces and integer blocks of 7 rows, so separators also fall between them
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 7)
+        monkeypatch.setattr(bfile, "_BLOCK_ROWS", 7)
+        if command == "classical --series mobius":
+            payload, indent = {"values": classical_mobius(n).values[1:].tolist()}, None
+        elif command == "classical --series mertens":
+            payload, indent = _reference_payload(classical_mertens(classical_mobius(n))), 2
+        else:
+            name, kind = command.split(" --kind ")
+            mu = mobius_one_var(DivisibilityPoset(SequenceKind(kind), n), n)
+            payload, indent = _JSON_COMMANDS[name](mu, n)
+        code, out, _ = run(capsys, *command.split(), "-n", str(n), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=indent) + "\n"
 
 
 class TestEmit:
