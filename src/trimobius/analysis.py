@@ -2,19 +2,15 @@
 
 Series over integer terms stay exact, each in the narrowest signed type
 holding its bound (poset.int_type), so widen one before further arithmetic
-on it.  The two ratio series are
-float64 arrays: through EXACT_RATIO_LIMIT (10,000) terms each entry is
-float() of the exact rational partial sum, accumulated as one integer
-numerator over the running lcm of the denominators; beyond it,
-Neumaier-compensated float sums, computed in numpy blocks bit-identically
-to the sequential loop.  The two paths are cross-checked where the prefix
-ends.
+on it.  The two ratio series are float64 arrays, each entry float() of the
+exact rational partial sum, from one certified fixed-point sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 
 import numpy as np
@@ -24,9 +20,6 @@ from .poset import I64_MAX, SequenceKind, int_type, sequence_value, sequence_val
 
 EXACT_RATIO_LIMIT = 10_000
 
-# Exact and compensated accumulation must agree this closely on the overlap.
-RATIO_CROSSCHECK_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -34,8 +27,8 @@ class SeriesReport:
 
     ys[k] is the partial sum through index k + 1.  An integer series holds
     an array of the narrowest signed type holding N times its largest
-    |term| (poset.int_type); a ratio series a float64 array, whose exact prefix
-    survives only as final_value when N is within it.  final_value is a
+    |term| (poset.int_type); a ratio series a float64 array, with an exact
+    final_value when N is within EXACT_RATIO_LIMIT.  final_value is a
     Python int, Fraction or float.  slope_estimate is the headline
     per-index slope; slope_lsq is an ordinary least-squares slope kept
     alongside because the endpoint formula is sensitive to both ends.
@@ -55,15 +48,11 @@ def _endpoint_slope(first, last, n: int):
     """(y_N - y_1) / (N - 1) for N = n points; zero for a single point."""
     if n < 2:
         return Fraction(0)
-    dy = last - first
-    if isinstance(dy, (int, Fraction)):
-        return Fraction(dy, n - 1)
-    return dy / (n - 1)
+    return (last - first) / (n - 1) if isinstance(last, float) else Fraction(last - first, n - 1)
 
 
-# Terms per block of the compensated ratio sums and per leaf of _lsq_slope:
-# besides ys they hold one block of float64 temporaries, whatever N.
-_RATIO_BLOCK = 1 << 14
+# Terms per block of the ratio sums and per leaf of _lsq_slope; their temporaries are a block's.
+_RATIO_BLOCK = 1 << 13
 
 
 def _pairwise(lo: int, hi: int, leaf) -> tuple:
@@ -165,110 +154,136 @@ def abs_sums(mu: MobiusVector) -> SeriesReport:
     return replace(report, slope_estimate=Fraction(report.final_value, len(report)))
 
 
-# Every integer of magnitude up to 2**53 is exact in float64, so the float64
-# quotient of two of them is Python's correctly rounded t / d.
-_FLOAT_EXACT = 2**53
+_GUARD_BITS = 64  # first-pass fraction bits beyond the bit length of N * max|term|
 
 
-def _quotients(t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """t / d in float64, each equal to Python's t / d of the same integers.
+def _certified(x: np.ndarray, k: np.ndarray, slack: int, width: int, whole: int) -> np.ndarray:
+    """The float64 nearest each column's value, or NaN where that is not certain.
 
-    A pair with a side past 2**53 is divided in Python.
+    Column c of x is an integer V in limbs, x[j, c] counting 2**(width *
+    (len(x) - 1 - j)) units of 2**(width * (whole - len(x))); entry k[c]'s
+    exact sum S is within slack - 1 units of V, and slack units of -V - 1,
+    as which a negative V is taken.  The window of ceil(54 / width) + 1
+    digits from the first nonzero one, rounded at its last bit t, is z,
+    within 2**(t - 1) of V, as two float64 parts: 53 // width digits, and
+    the rest, at most 52 bits (hence width <= 26).  For 2**g > slack +
+    2**(t - 1), S lies between z - 2**g and z + 2**g, each rounded by one
+    float64 addition; where both agree, S rounds alike.  The second part
+    stays exact with 2**g added or taken off while g - t <= 51, and more
+    puts the two over an ulp of z apart; the leading bit, 54 or more above
+    t, lets 2**g = 2**t decide.  As each denominator of entry k divides
+    lcm(1, ..., k + 1) < 3**(k + 1) (D. Hanson, 1972), both within
+    2**(-2k - 3) of 0 make S = 0.
     """
-    q = t / d
-    slow = np.flatnonzero((d > _FLOAT_EXACT) | (np.abs(t) > _FLOAT_EXACT))
-    if len(slow):
-        q[slow] = [a / b for a, b in zip(t[slow].tolist(), d[slow].tolist())]
-    return q
-
-
-def _compensated_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
-    """Neumaier-compensated running sums of terms[k] / value(k + 1), in float64.
-
-    Bit-identical to the sequential loop over the quotients q
-        add = fsum + q
-        comp += (fsum - add) + q if |fsum| >= |q| else (q - add) + fsum
-        fsum = add
-        ys[k] = fsum + comp
-    because np.cumsum adds in order, and a zero term adds exactly 0.0 to
-    both sums.  Runs _RATIO_BLOCK terms at a time, carrying fsum and comp.
-    """
-    n = len(terms)
-    ys = np.empty(n)
-    fsum = comp = 0.0
-    for lo in range(0, n, _RATIO_BLOCK):
-        hi = min(lo + _RATIO_BLOCK, n)
-        k = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        q = _quotients(terms[lo:hi], sequence_values(kind, k))
-        s = q.copy()
-        s[0] += fsum
-        np.cumsum(s, out=s)
-        prev = np.concatenate(([fsum], s[:-1]))
-        big = np.abs(prev) >= np.abs(q)
-        err = np.where(big, prev, q) - s + np.where(big, q, prev)
-        err[0] += comp
-        np.cumsum(err, out=err)
-        np.add(s, err, out=ys[lo:hi])
-        fsum, comp = s[-1], err[-1]
+    rows = len(x)
+    for j in range(rows - 1, 0, -1):
+        x[j - 1] += x[j] >> width
+    sign = x[0] >> 63  # -1 where V < 0
+    x ^= sign
+    x[1:] &= (1 << width) - 1
+    lead = np.full(len(k), rows - 1)
+    for j in range(rows - 2, -1, -1):
+        lead = np.where(x[j] != 0, j, lead)
+    head, wide = 53 // width, -(-54 // width) + 1
+    ys = np.full(len(k), np.nan)
+    for first in np.flatnonzero(np.bincount(lead)).tolist():
+        cols = np.flatnonzero(lead == first)
+        t = width * (rows - first - wide)  # the window's last bit
+        g = max(slack.bit_length(), t - 1) + 1
+        window = x[first : first + wide + 1]  # and the digit that rounds it
+        window = window if len(cols) == len(k) else window[:, cols]
+        parts = (digits * 2.0 ** (-width * i) for i, digits in enumerate(window[:wide]))
+        hi, lo = sum(islice(parts, head)), sum(parts, 0.0)
+        if len(window) > wide:
+            lo = lo + (window[wide] >> (width - 1)) * 2.0 ** (-width * (wide - 1))
+        step, scale = 2.0 ** (g - t - width * (wide - 1)), 2.0 ** (width * (whole - 1 - first))
+        below, above = hi + (lo - step), hi + (lo + step)
+        near = np.maximum(abs(below), abs(above)) * scale <= np.exp2(-2.0 * k[cols] - 3)
+        ys[cols] = np.where(below == above, below * scale, np.where(near, 0.0, np.nan))
+    np.negative(ys, out=ys, where=(sign != 0) & (ys != 0))  # a certified 0 is +0.0
     return ys
 
 
-def _exact_sums(terms: list, denominators: list):
-    """float() of each exact partial sum of t / d, and the last one as a Fraction.
+def _fixed_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
+    """float() of each exact partial sum of terms[k] / value(k + 1), value of the kind.
 
-    The sum is kept as an integer numerator over the lcm of the d seen so
-    far, so no step reduces by a gcd.  Python's int / int is correctly
-    rounded, so each float equals float() of the Fraction, bit for bit.
+    A long accumulator (U. Kulisch, Computer Arithmetic and Validity, 2008)
+    in int64 limbs of B bits: integer limbs holding max|term| * (2 + bit
+    length of N) > |each sum|, then F / B fraction limbs.  Per block, long
+    division gives the digits of floor(2**F / d), d = value(k + 1), and one
+    np.cumsum per limb, carried across blocks, sums their products with the
+    terms: each sum of term * floor(2**F / d), exact, and within sum |term|
+    units of 2**-F of the exact sum, for _certified to round.  With
+    N * max|term| < 2**s, d < 2**b and B = min(26, 63 - max(s, b)) no int64
+    value wraps: a remainder shifted by B bits is below 2**(b + B), a limb's
+    prefix sum below 2**(s + B), so a carry below 2**s, and a limb plus its
+    carry below 2**(s + B); that rule alone would allow 62 bits for small N.
+    The first pass has _GUARD_BITS + s fraction bits in whole limbs; passes
+    at twice and four times the limbs fill entries left NaN.  ArithmeticError
+    names the first one left; OverflowError means B < 1.
     """
+    n = len(terms)
+    top = max(int(terms.max()), -int(terms.min()))
+    spread = (top * n).bit_length()
+    width = min(26, 63 - max(spread, sequence_value(kind, n).bit_length()))  # see _certified
+    if width < 1:
+        raise OverflowError(f"ratio sums of {n} terms up to {top} leave no bit of an int64 limb")
+    whole = max(1, -(-(top * (2 + n.bit_length())).bit_length() // width))
+    first = max(1, -(-(_GUARD_BITS + spread) // width))
+    ys = np.full(n, np.nan)
+    for limbs in (first, 2 * first, 4 * first):
+        rows, sums, slack = whole + limbs, 0, 1  # 1 + sum |term| through this block
+        for lo in range(0, n, _RATIO_BLOCK):
+            t = terms[lo : lo + _RATIO_BLOCK].astype(np.int64)
+            k = np.arange(lo + 1, lo + len(t) + 1, dtype=np.uint64)
+            d = sequence_values(kind, k).astype(np.int64)
+            x, r = np.zeros((rows, len(t)), dtype=np.int64), np.ones(len(t), dtype=np.int64)
+            for j in range(whole - 1, rows):  # the digits of floor(2**F / d)
+                x[j], r = np.divmod(r << width * (j >= whole), d)
+            x *= t
+            np.cumsum(x, axis=1, out=x)
+            x += sums
+            sums = x[:, -1:].copy()
+            if slack == 1:  # up to the first nonzero term each sum is exactly 0
+                ys[lo : lo + (t != 0).argmax() if t.any() else lo + len(t)] = 0.0
+            slack += int(np.abs(t).sum())
+            todo = np.flatnonzero(np.isnan(ys[lo : lo + len(t)]))
+            if len(todo):
+                ys[lo + todo] = _certified(x if len(todo) == len(t) else x[:, todo],
+                                           lo + 1 + todo, slack, width, whole)
+        if not np.isnan(ys.sum()):  # NaN if any entry is
+            return ys
+    raise ArithmeticError(f"ratio sum at n={np.isnan(ys).argmax() + 1} left undecided")
+
+
+def _exact_sums(terms: list, denominators: list) -> Fraction:
+    """The exact sum of t / d, kept over the running lcm of the d: no step reduces by a gcd."""
     num, lcm = 0, 1
-    steps = []
     for t, d in zip(terms, denominators):
         g = gcd(lcm, d)
         if g != d:
             num *= d // g
             lcm *= d // g
         num += t * (lcm // d)
-        steps.append(num / lcm)
-    return steps, Fraction(num, lcm)
+    return Fraction(num, lcm)
 
 
-def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind):
+def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind) -> SeriesReport:
     """Shared builder for the two ratio series, mu(k) / value(k) of the kind.
 
-    ys is float64.  Through min(N, EXACT_RATIO_LIMIT) it holds float() of
-    the exact partial sums, from _exact_sums over the nonzero terms; beyond,
-    the compensated float sums.  The float path runs from the start so the
-    two are cross-checked at EXACT_RATIO_LIMIT.
+    Within EXACT_RATIO_LIMIT terms, final_value and the slope are exact
+    Fractions, from _exact_sums over the nonzero terms; beyond, floats.
     """
-    limit = EXACT_RATIO_LIMIT
     terms = mu.values[1:]
-    n = len(terms)
-    ys = _compensated_sums(terms, kind)
-    head = terms[:limit]
-    nonzero = np.flatnonzero(head)
-    denominators = sequence_values(kind, (nonzero + 1).astype(np.uint64))
-    steps, exact = _exact_sums(head[nonzero].tolist(), denominators.tolist())
-    if 0 < limit < n:
-        drift = abs(float(exact) - float(ys[limit - 1]))
-        if drift > RATIO_CROSSCHECK_TOL:
-            raise ArithmeticError(
-                f"exact/compensated accumulation disagree by {drift:.3e} "
-                f"at n={limit}"
-            )
-    ys[: len(head)] = np.array([0.0, *steps])[np.cumsum(head != 0)]
-    if n <= limit:
-        final = exact
-        slope = _endpoint_slope(Fraction(int(terms[0])), exact, n)  # value(1) = 1
-    else:
-        final = float(ys[-1])
-        slope = _endpoint_slope(float(ys[0]), final, n)
-    return SeriesReport(
-        name=name,
-        ys=ys,
-        slope_estimate=slope,
-        slope_lsq=_lsq_slope(ys),
-        final_value=final,
-    )
+    n, ys = len(terms), _fixed_sums(terms, kind)
+    final, first = float(ys[-1]), float(ys[0])
+    if n <= EXACT_RATIO_LIMIT:
+        nonzero = np.flatnonzero(terms)
+        values = sequence_values(kind, (nonzero + 1).astype(np.uint64)).tolist()
+        final = _exact_sums(terms[nonzero].tolist(), values)
+        first = Fraction(int(terms[0]))  # value(1) = 1
+    return SeriesReport(name=name, ys=ys, slope_estimate=_endpoint_slope(first, final, n),
+                        slope_lsq=_lsq_slope(ys), final_value=final)
 
 
 def ratio_sums_index(mu: MobiusVector) -> SeriesReport:
@@ -278,7 +293,6 @@ def ratio_sums_index(mu: MobiusVector) -> SeriesReport:
 
 def ratio_sums_triangular(mu: MobiusVector) -> SeriesReport:
     """Partial sums of mu(n)/value(n), value being the poset's own sequence."""
-    sequence_value(mu.kind, len(mu))  # the 64-bit range check, once
     return _ratio_series("mobius_over_value_partial_sums", mu, mu.kind)
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computation failure or failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -36,13 +37,9 @@ def _kind(args) -> SequenceKind:
     return SequenceKind(args.kind)
 
 
-def _emit(pieces, out) -> None:
-    """Write an iterable of text pieces, in order, to the file out or to stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+def _output(out):
+    """The file out opened for writing, or stdout, to enter before anything is computed."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
 # Rows per piece of the float writers: .tolist() and the per-row strings
@@ -129,7 +126,7 @@ def _records_csv(table: analysis.MagnitudeRecordTable) -> list[str]:
 
 
 # One table per output shape: --format -> writer of the value's text, as an
-# iterable of pieces that _emit writes in order.
+# iterable of pieces that _write writes in order.
 _SERIES = {
     "bfile": lambda report: bfile.bfile_pieces(report.ys),
     "csv": _series_csv,
@@ -160,13 +157,14 @@ _RECORDS = {
 def _write(table: dict, default: str, value, args) -> int:
     """Write value(args) in args.format, or in default, with the writer from table.
 
-    The format is checked before value(args) runs: UsageError unless table
-    has a writer for it.
+    The format is checked, and --out opened, before value(args) runs:
+    UsageError unless table has a writer for the format.
     """
     fmt = getattr(args, "format", None) or default
     if fmt not in table:
         raise UsageError(f"--format {fmt} does not apply here; use one of {', '.join(table)}")
-    _emit(table[fmt](value(args)), args.out)
+    with _output(args.out) as fh:
+        fh.writelines(table[fmt](value(args)))
     return 0
 
 
@@ -178,13 +176,6 @@ def _matrix(args, which: str):
     """The zeta matrix of the chosen poset up to args.limit, or its inverse."""
     zeta = mobius.zeta_matrix(DivisibilityPoset(_kind(args), args.limit), args.limit)
     return zeta if which == "zeta" else mobius.invert_zeta(zeta)
-
-
-def _ratio_sums(args) -> analysis.SeriesReport:
-    vec = _mu(args)
-    if args.denom == "index":
-        return analysis.ratio_sums_index(vec)
-    return analysis.ratio_sums_triangular(vec)
 
 
 # The subcommands that compute one value and write it, in parser order: name
@@ -200,7 +191,8 @@ _WRITTEN = {
     "abs-sums": ("partial sums of |Mobius values|",
                  lambda a: analysis.abs_sums(_mu(a)), _SERIES, "bfile"),
     "ratio-sums": ("partial sums of mu(n)/n or mu(n)/value(n)",
-                   _ratio_sums, _RATIO_SERIES, "csv"),
+                   lambda a: (analysis.ratio_sums_index if a.denom == "index"
+                              else analysis.ratio_sums_triangular)(_mu(a)), _RATIO_SERIES, "csv"),
     "zeta-matrix": ("0/1 incidence matrix", lambda a: _matrix(a, "zeta"), _MATRIX, "csv"),
     "mobius-matrix": ("exact inverse of the zeta matrix",
                       lambda a: _matrix(a, "mobius"), _MATRIX, "csv"),
@@ -218,24 +210,17 @@ _WRITTEN = {
 
 
 def cmd_props(args) -> int:
-    scan = props.scan_range(args.max_n)
-    lines = []
-    if scan.prop1_failures:
-        lines.append(
-            f"prop1 FAIL: T(n) | T(n(n+1)) broken at n={list(scan.prop1_failures[:5])}\n"
-        )
-    else:
-        lines.append(f"prop1 OK: T(n) divides T(n(n+1)) for all n <= {scan.max_n}\n")
-    if scan.prop2_pattern_breaks:
-        lines.append(
-            "prop2 FAIL: divisibility/mod-4 pattern broken at "
-            f"n={list(scan.prop2_pattern_breaks[:5])}\n"
-        )
-    else:
-        lines.append(
-            f"prop2 OK: T(n) | T(T(n)) exactly when n = 1, 2 (mod 4), n <= {scan.max_n}\n"
-        )
-    _emit(lines, args.out)
+    with _output(args.out) as fh:
+        scan = props.scan_range(args.max_n)
+        if scan.prop1_failures:
+            fh.write(f"prop1 FAIL: T(n) | T(n(n+1)) broken at n={list(scan.prop1_failures[:5])}\n")
+        else:
+            fh.write(f"prop1 OK: T(n) divides T(n(n+1)) for all n <= {scan.max_n}\n")
+        if scan.prop2_pattern_breaks:
+            fh.write("prop2 FAIL: divisibility/mod-4 pattern broken at "
+                     f"n={list(scan.prop2_pattern_breaks[:5])}\n")
+        else:
+            fh.write(f"prop2 OK: T(n) | T(T(n)) exactly when n = 1, 2 (mod 4), n <= {scan.max_n}\n")
     return 0 if scan.ok else 1
 
 

@@ -79,7 +79,7 @@ class TestMobiusCommand:
         assert code == 1
         assert "error" in err
 
-    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+    def test_memory_error_is_one_line(self, capsys, monkeypatch, tmp_path):
         def exhausted(vec):
             raise MemoryError
 
@@ -87,6 +87,24 @@ class TestMobiusCommand:
         code, out, err = run(capsys, "sums", "-n", "10")
         assert code == 1
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # --out is opened before the computation, which leaves it empty
+        path = tmp_path / "sums.txt"
+        assert run(capsys, "sums", "-n", "10", "--out", str(path))[0] == 1
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["sums", "-n", "1000"], "mobius", "mobius_one_var"),
+        (["ratio-sums", "-n", "1000", "--format", "json"], "mobius", "mobius_one_var"),
+        (["classical", "-n", "1000"], "analysis", "classical_mobius"),
+        (["props", "--max-n", "1000"], "props", "scan_range"),
+    ])
+    def test_out_path_fails_before_the_computation(self, capsys, monkeypatch, argv, module,
+                                                   name):
+        calls = []
+        monkeypatch.setattr(getattr(cli, module), name, lambda *args: calls.append(args))
+        code, out, err = run(capsys, *argv, "--out", "/no/such/dir/x")
+        assert (code, out, calls) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -291,11 +309,14 @@ class TestEmit:
         (["zeta-matrix", "-n", "1001"], 1),
         (["heatmap", "-n", "1001"], 1),
     ])
-    def test_refused_command_leaves_no_file(self, capsys, tmp_path, argv, code):
+    def test_refused_command_leaves_no_output(self, capsys, tmp_path, argv, code):
+        # a usage error comes before --out is opened; a refusal by the
+        # computation after it, which leaves the file empty
         path = tmp_path / "out.txt"
         assert main([*argv, "--out", str(path)]) == code
         assert capsys.readouterr().err.startswith("error: ")
-        assert not path.exists()
+        assert path.exists() == (code == 1)
+        assert code == 2 or path.read_text() == ""
 
     def test_ratio_csv_rows(self, monkeypatch):
         report = ratio_sums_index(MobiusVector(SequenceKind.IDENTITY, np.array([0, 1, -1, -1, 0])))

@@ -9,8 +9,10 @@ that exit 2: with a one-line error, or, for the REFUSED options that a
 subcommand does not take, with argparse's message.  LARGE pins a few
 integer series at N well past 60, where every decimal width of the index
 column and the block boundaries of the decimal writer are crossed, and
-both ratio series at N = 20,000, past the exact prefix of 10,000 into the
-compensated tail.
+both ratio series at N = 20,000, past EXACT_RATIO_LIMIT = 10,000, where
+final_value turns from an exact Fraction to a float.  Every ratio entry
+is float() of the exact partial sum; tests/test_analysis.py checks the
+series against that reference.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ LARGE: dict[str, str] = {
     "classical -n 200003 --series mertens --format json":
         "b0eb8bcaff1c8eb64a34818124687f893694a667ae5d3db426513363c8454a15",
     "ratio-sums -n 100000 --denom index --format json":
-        "271f6a1849cb84a6470d1033f48101c0cf253477edbbab58847c8bb4ffbeb3a7",
+        "c7806cd4694b241d71b3a587422cc8e2eed521b2f32802542ecdde34b9e8aa9f",
     "sums -n 20000 --format json":
         "601c8d530cbee2fdf7635291935983e22ac40705f5f4f3a3ce28f7abbe22cd7c",
     "sums -n 20000 --format csv":
@@ -284,13 +286,13 @@ LARGE: dict[str, str] = {
     "abs-sums -n 20000 --format csv":
         "b1386dfd788d080c085d0927aa60e58e5741d676d642685cb369b44d78928381",
     "ratio-sums -n 20000 --denom index --format json":
-        "bfcbc582db754fae43dba57e8b3c517a1f217aa712378e742892186acf4cfdff",
+        "a382789b45d82e1133772524bbbdf1360e9e78ffa4b762cd5c83c9f598ad59fb",
     "ratio-sums -n 20000 --denom index --format csv":
         "fcacf38e05b2ea56b5c90e7bb2f3807cb8cf52e4c3c35cb862117014c94ec427",
     "ratio-sums -n 20000 --denom index --format svg":
         "223671cca9721c4cf3dd487c18d5580b584812bfd69d3aba4b498c21137c1f7d",
     "ratio-sums -n 20000 --denom value --format json":
-        "cf625b8f8323d1e456a19032285a8949f3b78e5714cd0b31a9a55656e77b7ee0",
+        "63d2aa73ae8eb9920dbe0e649bc1cfa3acdfa70637d2f935382c35d451e4c35b",
     "ratio-sums -n 20000 --denom value --format csv":
         "0b0ee1575356d5d458f43965f1873cc2e0c8f552046a4bb79c51ad608ed3458b",
     "ratio-sums -n 20000 --denom value --format svg":
