@@ -16,7 +16,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .mobius import MobiusVector
-from .poset import I64_MAX, SequenceKind, int_type, sequence_value, sequence_values
+from .poset import SequenceKind, int_type, magnitude, sequence_value, sequence_values
 
 EXACT_RATIO_LIMIT = 10_000
 
@@ -110,20 +110,12 @@ def _lsq_slope(ys) -> float:
 def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
     """Exact prefix sums of the terms, or of their magnitudes.
 
-    len(terms) times the largest |term| bounds every prefix sum; it is
-    taken in Python integers, so OverflowError is raised before an int64
-    sum could wrap, and the sums are held in int_type of it.  The terms
-    are copied into the output array and summed there, so the call makes
-    no other N-length array.
+    len(terms) times the largest |term| bounds every prefix sum, and the
+    sums are held in int_type of it, which raises OverflowError before a
+    sum could leave int64.  The terms are copied into the output array and
+    summed there, so the call makes no other N-length array.
     """
-    top = max(int(terms.max()), -int(terms.min()))
-    bound = top * len(terms)
-    if bound > I64_MAX:
-        raise OverflowError(
-            f"partial sums of {len(terms)} terms up to {top} in magnitude "
-            "may leave the signed 64-bit range"
-        )
-    sums = np.empty(len(terms), dtype=int_type(bound))
+    sums = np.empty(len(terms), dtype=int_type(magnitude(terms) * len(terms)))
     sums[...] = terms
     if absolute:
         np.abs(sums, out=sums)
@@ -222,8 +214,7 @@ def _fixed_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
     at twice and four times the limbs fill entries left NaN.  ArithmeticError
     names the first one left; OverflowError means B < 1.
     """
-    n = len(terms)
-    top = max(int(terms.max()), -int(terms.min()))
+    n, top = len(terms), magnitude(terms)
     spread = (top * n).bit_length()
     width = min(26, 63 - max(spread, sequence_value(kind, n).bit_length()))  # see _certified
     if width < 1:
@@ -353,7 +344,9 @@ def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction
 
     A positive return means the partial sums stayed at or below a straight
     line of that slope over the whole tail window.  tail_start defaults to
-    N/10: the early sums are transient and would dominate the minimum.
+    N/10: the early sums are transient and would dominate the minimum.  The
+    window must hold two indices or more, 1 <= tail_start < N, or
+    ValueError is raised.
 
     Each float64 quotient ys[n] / n is within a relative 2**-51.9 of the
     exact one (two roundings), so the exact minimum lies among the n whose
@@ -364,7 +357,7 @@ def estimate_C(mertens: SeriesReport, tail_start: int | None = None) -> Fraction
     if tail_start is None:
         tail_start = max(1, n // 10)
     if not 1 <= tail_start < n:
-        raise ValueError(f"empty tail window: tail_start={tail_start}, N={n}")
+        raise ValueError(f"tail window needs 1 <= tail_start < N: tail_start={tail_start}, N={n}")
     tail = np.asarray(mertens.ys[tail_start - 1 :])
     ratio = tail / np.arange(tail_start, n + 1, dtype=np.float64)
     near = np.flatnonzero(ratio >= ratio.max() - np.abs(ratio).max() * 2**-50)

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .poset import magnitude
+
 # Bundled snapshot names -> resource files (first 10 published terms each).
 BUNDLED_SNAPSHOTS = {
     "A350682": "b350682.txt",  # Mobius values of the triangular divisibility order
@@ -86,7 +88,7 @@ def _block_text(columns, sep: str, end: str, frac: int = 0) -> np.ndarray:
     its magnitudes are made, so a block holds those of one column at a time.
     """
     unit = 10**frac
-    widths = [len(str(max(-int(col.min()), int(col.max())) // unit)) for col in columns]
+    widths = [len(str(magnitude(col) // unit)) for col in columns]
     literals = [sep] * (len(columns) - 1) + [end]
     point = frac + 1 if frac else 0  # the point and the fraction digits
     width = sum(widths) + len(columns) * (1 + point) + sum(map(len, literals))

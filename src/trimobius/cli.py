@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, bfile, exports, mobius, props, svg
-from .poset import I64_MAX, DivisibilityPoset, SequenceKind, sequence_values
+from .poset import DivisibilityPoset, SequenceKind, int_type, magnitude, sequence_values
 
 
 class UsageError(Exception):
@@ -232,8 +232,8 @@ def cmd_classical(args) -> int:
                   lambda a: analysis.classical_mertens(analysis.classical_mobius(a.limit)), args)
 
 
-# Rows of the relation per block of verify: a block's uint64 remainders and
-# int64 products take 0.5 MB at n = DENSE_CAP, not n x n of them.
+# Rows of the relation per block of verify: a block's uint64 remainders
+# take 0.5 MB at n = DENSE_CAP, not n x n of them.
 _VERIFY_ROWS = 64
 
 
@@ -247,9 +247,11 @@ def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.Mobi
     zeta = mobius.zeta_matrix(poset, n).array
     values = sequence_values(kind, np.arange(1, n + 1, dtype=np.uint64))
     vec = mobius.mobius_one_var(poset, n)
-    mu = vec.values[1:].astype(np.int64)  # a product with narrower mu would wrap
-    # each of the n terms of a row sum is at most max |mu|, in Python integers
-    bound = max(int(mu.max()), -int(mu.min())) * n
+    bound = magnitude(vec.values) * n  # each of the n terms of a row sum is at most max |mu|
+    try:
+        mu = vec.values[1:].astype(int_type(bound))  # so no product or row sum wraps
+    except OverflowError:
+        mu = None
     differs = np.zeros(n, dtype=bool)
     sums = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _VERIFY_ROWS):
@@ -257,11 +259,11 @@ def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.Mobi
         # R[i-1, j-1] = 1 iff the j-th sequence value divides the i-th
         relation = values[block, None] % values == 0
         differs[block] = (zeta[block] != relation).any(1)
-        if bound <= I64_MAX:
+        if mu is not None:
             sums[block] = relation @ mu
     if differs.any():
         failures.append(f"{kind.value}: predecessor row {differs.argmax() + 1} differs")
-    if bound > I64_MAX:
+    if mu is None:
         failures.append(f"{kind.value}: zero sums may reach {bound}, beyond int64")
         return vec
     sums[0] -= 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import I64_MAX, DivisibilityPoset, PredecessorTable, SequenceKind, int_type
+from .poset import DivisibilityPoset, PredecessorTable, SequenceKind, int_type, magnitude
 
 # Largest n for which a dense n x n matrix is ever materialized.
 DENSE_CAP = 1000
@@ -58,27 +58,23 @@ def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
     every other k >= 2, mu(m, k) is minus the sum of mu(m, d) over all
     strict predecessors d of k; a row below m, or not above m, sums only
     zeros.  The values are computed in the table's runs of rows lo..hi,
-    each one gather and one int64 np.add.reduceat; every row k >= 2 holds
-    1, so none is empty, and every value a run reads is final.  No row of
-    the run holding m reads m, so that run writes 0 over mu(m, m), which
-    is set back to 1.  Before each run, the largest |mu| so far times its
-    longest row must fit in int64, or OverflowError is raised.  mu starts
-    as int8 and is widened to int_type(largest |mu|) when a run's sums
-    pass its type, so it is returned in the narrowest type holding them.
+    each one gather and one np.add.reduceat; every row k >= 2 holds 1, so
+    none is empty, and every value a run reads is final.  No row of the
+    run holding m reads m, so that run writes 0 over mu(m, m), which is
+    set back to 1.  A run's sums are taken in int_type of the largest |mu|
+    so far times its longest row, which raises OverflowError before a sum
+    could leave int64.  mu starts as int8 and is widened to
+    int_type(largest |mu|) when a run's sums pass its type, so it is
+    returned in the narrowest type holding them.
     """
     mu = np.zeros(len(table), dtype=np.int8)
     mu[m] = 1
     top = 1  # largest |mu| so far, a Python int
     for lo, hi, entries, offsets in table.runs():
-        bound = top * int(np.diff(offsets).max())
-        if bound > I64_MAX:
-            raise OverflowError(
-                f"Mobius sums at n = {lo}..{hi} may reach {bound}, "
-                "beyond the signed 64-bit range"
-            )
+        dtype = int_type(top * int(np.diff(offsets).max()))
         # the gather is a temporary, freed before the next run's is built
-        sums = np.add.reduceat(mu[entries], offsets[:-1], dtype=np.int64)
-        top = max(top, int(np.abs(sums).max()))
+        sums = np.add.reduceat(mu[entries], offsets[:-1], dtype=dtype)
+        top = max(top, magnitude(sums))
         if top > np.iinfo(mu.dtype).max:
             mu = mu.astype(int_type(top))
         np.negative(sums, out=mu[lo : hi + 1])
@@ -163,46 +159,33 @@ def _require_lower_unitriangular(z: np.ndarray) -> None:
         raise ValueError(f"nonzero entry above the diagonal at ({i + 1}, {j + 1})")
 
 
-def _check_sum_bound(magnitudes: list[int], ks: list[int]) -> None:
-    """OverflowError unless every partial sum of the vectors ks fits in int64.
-
-    magnitudes[k] bounds the entries of vector k; the check runs in Python
-    integers before the int64 sum does, so a sum that could wrap is never
-    computed.
-    """
-    bound = sum(magnitudes[k] for k in ks)
-    if bound > I64_MAX:
-        raise OverflowError(
-            f"Mobius matrix sums may reach {bound}, beyond the signed 64-bit range"
-        )
-
-
 def _forward_substitute(ones: np.ndarray) -> np.ndarray:
     """M with Z.M = I, Z being the 0/1 lower unitriangular `ones`.
 
-    Row i of M is e_i minus the sum of the earlier rows k with Z[i, k] = 1,
-    in int64.  Each row's largest magnitude is kept, so a sum that could
-    leave int64 raises OverflowError before it runs.
+    Row i of M is e_i minus the sum of the earlier rows k with Z[i, k] = 1.
+    Each row's largest magnitude is kept in Python integers, and the sum
+    is taken in int_type of theirs, which raises OverflowError before it
+    could leave int64.  M is held in int64.
     """
     n = len(ones)
     m = np.zeros((n, n), dtype=np.int64)
-    magnitude = [0] * n
+    tops = [0] * n
     for i in range(n):
         ks = np.flatnonzero(ones[i, :i])
         if len(ks):
-            _check_sum_bound(magnitude, ks.tolist())
-            np.negative(m[ks, :i].sum(0), out=m[i, :i])
+            bound = sum(tops[k] for k in ks.tolist())
+            np.negative(m[ks, :i].sum(0, dtype=int_type(bound)), out=m[i, :i])
         m[i, i] = 1
-        magnitude[i] = int(np.abs(m[i, : i + 1]).max())
+        tops[i] = magnitude(m[i, : i + 1])
     return m
 
 
 def invert_zeta(zeta: ZetaMatrix) -> MobiusMatrix:
     """Exact integer inverse of a lower unitriangular 0/1 matrix.
 
-    Forward substitution in int64, guarded against overflow.  The product
-    check runs before returning, on the arrays already in hand, so a bad
-    inverse can never escape.
+    Forward substitution, each sum in the type of its bound (OverflowError
+    past int64).  The product check runs before returning, on the arrays
+    already in hand, so a bad inverse can never escape.
     """
     _require_lower_unitriangular(zeta.array)
     mobius = MobiusMatrix(_forward_substitute(zeta.array == 1))
@@ -215,8 +198,9 @@ def verify_inverse(zeta: ZetaMatrix, mobius: MobiusMatrix) -> bool:
     """True iff mobius . zeta is exactly the identity matrix.
 
     Column j of the product is the sum of the columns k of mobius with
-    Z[k, j] = 1, gathered in int64 after a magnitude bound rules out
-    wrapping (OverflowError otherwise).
+    Z[k, j] = 1, gathered and summed in int_type of the sum of their
+    largest magnitudes, which raises OverflowError before it could leave
+    int64.
     """
     if zeta.n != mobius.n:
         raise ValueError(f"dimension mismatch: {mobius.n} vs {zeta.n}")
@@ -224,11 +208,10 @@ def verify_inverse(zeta: ZetaMatrix, mobius: MobiusMatrix) -> bool:
     m = mobius.array
     # exact column magnitudes: max(|max|, |min|) in Python integers
     highs, lows = m.max(0, initial=0).tolist(), m.min(0, initial=0).tolist()
-    magnitude = [max(hi, -lo) for hi, lo in zip(highs, lows)]
+    tops = [max(hi, -lo) for hi, lo in zip(highs, lows)]
     for j in range(zeta.n):
         ks = np.flatnonzero(ones[:, j])
-        _check_sum_bound(magnitude, ks.tolist())
-        col = m[:, ks].sum(1)
+        col = m[:, ks].sum(1, dtype=int_type(sum(tops[k] for k in ks.tolist())))
         col[j] -= 1
         if col.any():
             return False

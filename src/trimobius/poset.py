@@ -23,11 +23,24 @@ I32_MAX = 2**31 - 1
 def int_type(bound: int) -> np.dtype:
     """The narrowest signed integer dtype holding every value in -bound..bound.
 
-    Exact integer arrays (Mobius values, partial sums) are stored in it.
-    It is asked for -bound - 1, not -bound, so that +bound fits as well:
-    int8 holds -128 but not +128.  bound must be at most I64_MAX.
+    Exact integer arrays (Mobius values, partial sums) are stored in it,
+    and every exact sum is taken in the type of its bound, so this is the
+    one check that keeps an exact sum inside int64: OverflowError, naming
+    the bound, past I64_MAX.  It is asked for -bound - 1, not -bound, so
+    that +bound fits as well: int8 holds -128 but not +128.
     """
+    if bound > I64_MAX:
+        raise OverflowError(f"integers up to {bound} in magnitude leave the signed 64-bit range")
     return np.min_scalar_type(-bound - 1)
+
+
+def magnitude(values: np.ndarray) -> int:
+    """The largest |v| of an integer array as a Python int; 0 if it is empty.
+
+    Taken from the extremes in Python integers, so |-2**63| is 2**63 and a
+    uint64 value is exact, where np.abs would wrap.
+    """
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
 
 
 # Largest i with i(i+1)/2 <= U64_MAX.

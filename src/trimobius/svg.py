@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 
 from . import bfile
+from .poset import magnitude
 
 _GRAY = (217, 217, 217)
 _BLUE = (33, 102, 172)
@@ -131,7 +132,7 @@ def svg_heatmap(matrix, title: str) -> str:
     n = len(entries)
     cell = max(1, 640 // n)
     side = n * cell
-    max_abs = max(int(entries.max()), -int(entries.min()))
+    max_abs = magnitude(entries)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}">\n',
         f"<title>{_escape(title)}</title>\n",

@@ -143,6 +143,25 @@ class TestSeriesCommands:
         assert code == 0
         assert out.startswith("<svg") and out.endswith("</svg>\n")
 
+    @pytest.mark.parametrize("command", ["sums", "abs-sums"])
+    def test_sums_past_int64_is_one_line_error(self, capsys, monkeypatch, command):
+        # one |mu| = 2**62 among 50 terms: the bound of the partial sums,
+        # 50 * 2**62, leaves int64, so no sum is taken and nothing written
+        real = cli.mobius.mobius_one_var
+
+        def huge(poset, n=None):
+            vec = real(poset, n)
+            values = vec.values.astype(np.int64)  # mu comes as int8
+            values[17] = 2**62
+            return MobiusVector(kind=vec.kind, values=values)
+
+        monkeypatch.setattr(cli.mobius, "mobius_one_var", huge)
+        code, out, err = run(capsys, command, "-n", "50")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: integers up to {2**62 * 50} in magnitude leave the signed 64-bit range\n"
+        )
+
 
 def _as_float(value):
     return float(value) if isinstance(value, Fraction) else value

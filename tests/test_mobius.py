@@ -115,16 +115,18 @@ class TestBlockedRecursion:
 
     def test_overflow_raises_before_the_sums(self, tri_poset, monkeypatch):
         # with int64 shrunk to 63, the bound (largest |mu| so far times the
-        # longest row of a run) passes 63 before n = 2000, not by n = 10
-        monkeypatch.setattr(mobius_module, "I64_MAX", 63)
+        # longest row of a run) passes 63 before n = 2000, not by n = 10.
+        # The tables come first: the builder's own limit reads I64_MAX too.
+        big, small = tri_poset.predecessor_table(2000), tri_poset.predecessor_table(10)
+        monkeypatch.setattr(poset_module, "I64_MAX", 63)
         with pytest.raises(OverflowError):
-            mobius_one_var(tri_poset, 2000)
-        assert mobius_one_var(tri_poset, 10).terms() == MU_TRI_10
-        # two-var runs the same recursion, so the same bound stops it
+            _mu_from(big, 1)
+        assert _mu_from(small, 1)[1:].tolist() == MU_TRI_10
+        # mu(2, .) runs the same recursion, so the same bound stops it
         assert tri_poset.leq(2, 2000)
         with pytest.raises(OverflowError):
-            mobius_two_var(tri_poset, 2, 2000)
-        assert mobius_two_var(tri_poset, 2, 3) == -1
+            _mu_from(big, 2)
+        assert _mu_from(small, 2)[3] == -1
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_gather_cap_2000(self, kind, monkeypatch):
@@ -216,6 +218,24 @@ class TestNarrowestType:
         values = _mu_from(table, 1)
         assert values.tolist() == mu
         assert values.dtype == dtype
+
+    @pytest.mark.parametrize("target", [2**62, -(2**62)])
+    def test_mu_reaches_the_int64_limit(self, target):
+        # the two rows of 2**62 run together, each summing two entries of
+        # 2**61, and the last row reads one entry: every bound is 2**62.
+        # (Run one row at a time, the second reads 2**62 as the top so far.)
+        mu, table = _table_reaching(target)
+        values = _mu_from(table, 1)
+        assert values.tolist() == mu
+        assert values.dtype == np.int64
+
+    @pytest.mark.parametrize("target, bound", [(2**62 - 1, 62 * 2**61), (2**63 - 1, 63 * 2**62)])
+    def test_mu_past_the_int64_limit_raises(self, target, bound):
+        # the last row reads 62 (63) entries, with |mu| up to 2**61 (2**62)
+        # so far: a bound past 2**63 - 1, although the value itself fits
+        _, table = _table_reaching(target)
+        with pytest.raises(OverflowError, match=f"up to {bound} in magnitude"):
+            _mu_from(table, 1)
 
     def test_mu_holds_one_byte_per_element(self):
         # int8 mu is 100,001 bytes; int64 took 800,008 before any run
@@ -461,9 +481,13 @@ class TestInt64Oracle:
         zeta = _random_unitriangular(60, 0.5, random.Random(3))
         exact = _forward_substitution_reference(zeta.array.tolist())
         assert max(abs(v) for row in exact for v in row) > 64
-        monkeypatch.setattr(mobius_module, "I64_MAX", 63)
+        inverse = invert_zeta(zeta)
+        monkeypatch.setattr(poset_module, "I64_MAX", 63)
         with pytest.raises(OverflowError):
             invert_zeta(zeta)
+        # the product check takes the same bound on its column sums
+        with pytest.raises(OverflowError):
+            verify_inverse(zeta, inverse)
         # the substitution itself raises; the product check is not what stops it
         monkeypatch.setattr(mobius_module, "verify_inverse", lambda zeta, mobius: True)
         with pytest.raises(OverflowError):

@@ -8,7 +8,7 @@ import pytest
 
 from expected import HASSE_TRI_20, PRED_TABLE_TRI
 from trimobius import poset as poset_module
-from trimobius.poset import sequence_values
+from trimobius.poset import I64_MAX, int_type, magnitude, sequence_values
 from trimobius import (
     MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
@@ -93,6 +93,37 @@ class TestSequenceValues:
         values = sequence_values(kind, np.array(ks, dtype=np.uint64))
         assert values.dtype == np.uint64
         assert values.tolist() == [sequence_value(kind, k) for k in ks]
+
+
+class TestExactIntegers:
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [(0, np.int8), (127, np.int8), (128, np.int16), (2**31 - 1, np.int32),
+         (2**31, np.int64), (I64_MAX, np.int64)],
+    )
+    def test_int_type_holds_plus_and_minus_bound(self, bound, dtype):
+        assert int_type(bound) == dtype
+
+    @pytest.mark.parametrize("bound", [I64_MAX + 1, 2**64, 10**30])
+    def test_int_type_refuses_past_int64(self, bound):
+        # an object array would hold it, but no exact sum is taken in one
+        with pytest.raises(OverflowError, match=f"up to {bound} in magnitude"):
+            int_type(bound)
+
+    @pytest.mark.parametrize(
+        "values, dtype, expected",
+        [
+            ([-128, 127], np.int8, 128),
+            ([5, -3], np.int8, 5),
+            ([-(2**63), 2**63 - 1], np.int64, 2**63),
+            ([2**64 - 1, 2**64 - 2], np.uint64, 2**64 - 1),
+            ([2**63 + 1, 0], np.uint64, 2**63 + 1),
+            ([], np.int64, 0),
+        ],
+    )
+    def test_magnitude_is_exact(self, values, dtype, expected):
+        got = magnitude(np.array(values, dtype=dtype))
+        assert type(got) is int and got == expected
 
 
 class TestTriangularIndex:
