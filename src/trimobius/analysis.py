@@ -1,9 +1,10 @@
 """Partial-sum series, magnitude records, and the classical Mobius baseline.
 
 Series over integer terms stay exact, each in the narrowest signed type
-holding its bound (poset.int_type), so widen one before further arithmetic
-on it.  The two ratio series are float64 arrays, each entry float() of the
-exact rational partial sum, from one certified fixed-point sum.
+holding its values (poset.int_type), so widen one before further
+arithmetic on it.  The two ratio series are float64 arrays, each entry
+float() of the exact rational partial sum, from one certified fixed-point
+sum.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class SeriesReport:
     """A named prefix-sum series with slope estimates.
 
     ys[k] is the partial sum through index k + 1.  An integer series holds
-    an array of the narrowest signed type holding N times its largest
-    |term| (poset.int_type); a ratio series a float64 array, with an exact
+    an array of the narrowest signed type holding its largest |value|
+    (poset.int_type); a ratio series a float64 array, with an exact
     final_value when N is within EXACT_RATIO_LIMIT.  final_value is a
     Python int, Fraction or float.  slope_estimate is the headline
     per-index slope; slope_lsq is an ordinary least-squares slope kept
@@ -51,7 +52,8 @@ def _endpoint_slope(first, last, n: int):
     return (last - first) / (n - 1) if isinstance(last, float) else Fraction(last - first, n - 1)
 
 
-# Terms per block of the ratio sums and per leaf of _lsq_slope; their temporaries are a block's.
+# Terms per block of the partial and ratio sums and per leaf of _lsq_slope;
+# their temporaries are a block's.
 _RATIO_BLOCK = 1 << 13
 
 
@@ -110,16 +112,31 @@ def _lsq_slope(ys) -> float:
 def _partial_sums(terms: np.ndarray, absolute: bool = False) -> np.ndarray:
     """Exact prefix sums of the terms, or of their magnitudes.
 
-    len(terms) times the largest |term| bounds every prefix sum, and the
-    sums are held in int_type of it, which raises OverflowError before a
-    sum could leave int64.  The terms are copied into the output array and
-    summed there, so the call makes no other N-length array.
+    len(terms) times the largest |term| bounds every prefix sum, and
+    int_type of it raises OverflowError before any sum is taken that could
+    leave int64.  Within that bound the sums are taken in int64, in two
+    passes over blocks of _RATIO_BLOCK terms: one for the sums' extremes,
+    and one to fill an array of int_type of their largest |value|.  So the
+    call makes no other N-length array.
     """
-    sums = np.empty(len(terms), dtype=int_type(magnitude(terms) * len(terms)))
-    sums[...] = terms
-    if absolute:
-        np.abs(sums, out=sums)
-    return np.cumsum(sums, out=sums)
+    int_type(magnitude(terms) * len(terms))  # the OverflowError, if any
+
+    def blocks():
+        total = 0
+        for lo in range(0, len(terms), _RATIO_BLOCK):
+            block = terms[lo : lo + _RATIO_BLOCK].astype(np.int64)
+            if absolute:
+                np.abs(block, out=block)
+            np.cumsum(block, out=block)
+            block += total
+            total = int(block[-1])
+            yield lo, block
+
+    top = max((magnitude(block) for _, block in blocks()), default=0)
+    sums = np.empty(len(terms), dtype=int_type(top))
+    for lo, block in blocks():
+        sums[lo : lo + len(block)] = block
+    return sums
 
 
 def _sum_series(name: str, terms: np.ndarray, absolute: bool = False) -> SeriesReport:

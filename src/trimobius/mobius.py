@@ -2,7 +2,9 @@
 
 The recursion over the predecessor table is the production path.  The
 dense inverse (n <= DENSE_CAP), product-checked, is the mobius-matrix and
-heatmap output and the tests' oracle for mu(m, n).  Exact integers throughout.
+heatmap output and the tests' oracle for mu(m, n).  Exact integers throughout,
+each array of values in the narrowest signed type holding them
+(poset.int_type), so widen one before further arithmetic on it.
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ class ZetaMatrix(_SquareMatrix):
 
 
 class MobiusMatrix(_SquareMatrix):
-    """Exact integer inverse of a zeta matrix: array[i-1, j-1] = mu(j, i)."""
+    """Exact integer inverse of a zeta matrix: array[i-1, j-1] = mu(j, i).
+
+    invert_zeta fills the narrowest signed type holding its values
+    (poset.int_type), int8 at the dense cap for both kinds.
+    """
 
 
 def zeta_matrix(poset: DivisibilityPoset, n: int) -> ZetaMatrix:
@@ -165,18 +171,23 @@ def _forward_substitute(ones: np.ndarray) -> np.ndarray:
     Row i of M is e_i minus the sum of the earlier rows k with Z[i, k] = 1.
     Each row's largest magnitude is kept in Python integers, and the sum
     is taken in int_type of theirs, which raises OverflowError before it
-    could leave int64.  M is held in int64.
+    could leave int64.  M starts as int8 and is widened to int_type(largest
+    |row sum|) when a sum passes its type, as _mu_from widens mu, so it is
+    returned in the narrowest type holding its values.
     """
     n = len(ones)
-    m = np.zeros((n, n), dtype=np.int64)
+    m = np.zeros((n, n), dtype=np.int8)
     tops = [0] * n
     for i in range(n):
         ks = np.flatnonzero(ones[i, :i])
         if len(ks):
-            bound = sum(tops[k] for k in ks.tolist())
-            np.negative(m[ks, :i].sum(0, dtype=int_type(bound)), out=m[i, :i])
+            sums = m[ks, :i].sum(0, dtype=int_type(sum(tops[k] for k in ks.tolist())))
+            tops[i] = magnitude(sums)
+            if tops[i] > np.iinfo(m.dtype).max:
+                m = m.astype(int_type(tops[i]))
+            np.negative(sums, out=m[i, :i])
         m[i, i] = 1
-        tops[i] = magnitude(m[i, : i + 1])
+        tops[i] = max(tops[i], 1)
     return m
 
 

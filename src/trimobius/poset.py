@@ -131,10 +131,12 @@ class HasseGraph:
 class PredecessorTable:
     """Strict predecessors of the elements 0..n, in CSR form.
 
-    Row k is indices[indptr[k]:indptr[k + 1]], ascending; indptr is int64
-    with n + 2 entries and indices is int32.  len(t) == n + 1, t.row(k) is
-    row k as an int32 view, iteration yields those views in order, and
-    runs() cuts rows 2..n into runs.  The arrays are read-only.
+    Row k is indices[indptr[k]:indptr[k + 1]], ascending; indices is int32,
+    and indptr, with n + 2 entries, is int32 while the entry count plus
+    _RUN_CAP fits it, so that runs() can add _RUN_CAP to a pointer, and
+    int64 past that.  len(t) == n + 1, t.row(k) is row k as an int32 view,
+    iteration yields those views in order, and runs() cuts rows 2..n into
+    runs.  The arrays are read-only.
     """
 
     indptr: np.ndarray
@@ -253,43 +255,19 @@ class DivisibilityPoset:
     def hasse_edges(self, n: int) -> HasseGraph:
         """Exactly the covering pairs among elements 1..n.
 
-        A predecessor z of j is covered away exactly when z is covered by
-        some predecessor w of j: if z < y < j, the element covering z on a
-        maximal chain from z up to y lies in row j.  So each entry (j, w)
-        gathers only w's cover row, the edges already found with upper w,
-        kept in a CSR by upper (cptr, cover) that grows in place.  Rows go
-        in the table's runs, so every cover row a run reads is final.
-        Within a run the entries (j, z) have ascending keys j << 32 | z, and
-        a binary search marks each gathered c by the key j << 32 | c, an
-        entry of row j by transitivity.  The unmarked entries are the covers.
+        _covers finds them, by upper element, from the table.  The table is
+        passed on and never named here, so it is freed when _covers returns,
+        and so are the cover pointers once they give the row counts: neither
+        is held while the edges are listed and sorted.
         """
-        table = self.predecessor_table(n)
-        cptr = np.zeros(n + 2, dtype=np.int64)
-        cover = np.zeros(0, dtype=np.int32)
-        size = 0
-        for lo, hi, z, offsets in table.runs():
-            base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(offsets))
-            base <<= 32  # the key of entry (j, z) is base | z
-            # the cover row of z, gathered once per entry (j, z)
-            first = cptr[z]
-            hops = cptr[z + 1] - first
-            start = np.repeat(first - (np.cumsum(hops) - hops), hops)
-            below = cover[start + np.arange(len(start), dtype=np.int64)]
-            keep = np.ones(len(z), dtype=bool)
-            keep[np.searchsorted(base | z, np.repeat(base, hops) | below)] = False
-            kept = z[keep]
-            if size + len(kept) > len(cover):
-                cover.resize(size + len(kept) + size // 4, refcheck=False)
-            cover[size : size + len(kept)] = kept
-            # every row holds a cover, so no reduceat segment is empty
-            per_row = np.add.reduceat(keep, offsets[:-1], dtype=np.int64)
-            cptr[lo + 1 : hi + 2] = size + np.cumsum(per_row)
-            size += len(kept)
-        upper = np.repeat(np.arange(n + 1, dtype=np.int32), np.diff(cptr))
+        cptr, cover = _covers(self.predecessor_table(n))
+        counts = np.diff(cptr)
         del cptr
+        upper = np.repeat(np.arange(n + 1, dtype=np.int32), counts)
+        del counts
         # one sort of the packed keys lower << 32 | upper puts the edges,
         # listed by upper, in lexicographic order
-        key = cover[:size].astype(np.int64)
+        key = cover.astype(np.int64)
         del cover
         key <<= 32
         key |= upper
@@ -297,6 +275,45 @@ class DivisibilityPoset:
         upper = key.astype(np.int32)  # the low 32 bits
         key >>= 32
         return HasseGraph(n, key.astype(np.int32), upper)
+
+
+def _covers(table: PredecessorTable) -> tuple[np.ndarray, np.ndarray]:
+    """The covers of each element of the table, as a CSR (cptr, cover) by upper.
+
+    A predecessor z of j is covered away exactly when z is covered by some
+    predecessor w of j: if z < y < j, the element covering z on a maximal
+    chain from z up to y lies in row j.  So each entry (j, w) gathers only
+    w's cover row, the edges already found with upper w, kept in the CSR,
+    which grows in place; cptr takes the table's pointer type, as the
+    covers are some of its entries.  Rows go in the table's runs, so every
+    cover row a run reads is final.  Within a run the entries (j, z) have
+    ascending keys j << 32 | z, and a binary search marks each gathered c
+    by the key j << 32 | c, an entry of row j by transitivity.  The
+    unmarked entries are the covers.
+    """
+    cptr = np.zeros(len(table) + 1, dtype=table.indptr.dtype)
+    cover = np.zeros(0, dtype=np.int32)
+    size = 0
+    for lo, hi, z, offsets in table.runs():
+        base = np.repeat(np.arange(lo, hi + 1, dtype=np.int64), np.diff(offsets))
+        base <<= 32  # the key of entry (j, z) is base | z
+        # the cover row of z, gathered once per entry (j, z)
+        first = cptr[z]
+        hops = cptr[z + 1] - first
+        start = np.repeat(first - (np.cumsum(hops) - hops), hops)
+        below = cover[start + np.arange(len(start), dtype=np.int64)]
+        keep = np.ones(len(z), dtype=bool)
+        keep[np.searchsorted(base | z, np.repeat(base, hops) | below)] = False
+        kept = z[keep]
+        if size + len(kept) > len(cover):
+            cover.resize(size + len(kept) + size // 4, refcheck=False)
+        cover[size : size + len(kept)] = kept
+        # every row holds a cover, so no reduceat segment is empty
+        per_row = np.add.reduceat(keep, offsets[:-1], dtype=np.int64)
+        cptr[lo + 1 : hi + 2] = size + np.cumsum(per_row)
+        size += len(kept)
+    cover.resize(size, refcheck=False)
+    return cptr, cover
 
 
 # Most entries in a run of rows of the Mobius recursion and the Hasse pass.
@@ -368,9 +385,11 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
     entries of its rows lo..hi in any order.  Sorting the keys row << 32 | pred
     orders a block by row and then by predecessor.  The entries go into
     one buffer grown in place, so the table is never held twice.  Both
-    arrays grow with the blocks; resize fills with zeros.
+    arrays grow with the blocks, the row counts as int32; resize fills
+    with zeros.  The counts become pointers by a cumsum in place, widened
+    to int64 first only when the entry count plus _RUN_CAP passes I32_MAX.
     """
-    indptr = np.zeros(2, dtype=np.int64)  # rows 0 and 1 are empty
+    indptr = np.zeros(2, dtype=np.int32)  # rows 0 and 1 are empty
     indices = np.zeros(0, dtype=np.int32)
     size = 0
     for lo, hi, row, pred in blocks:
@@ -382,6 +401,8 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
         indptr.resize(hi + 2, refcheck=False)
         indptr[lo + 1 :] = np.bincount((key >> 32) - lo, minlength=hi - lo + 1)
     indptr.resize(n + 2, refcheck=False)
+    if size + _RUN_CAP > I32_MAX:
+        indptr = indptr.astype(np.int64)
     np.cumsum(indptr, out=indptr)
     indices.resize(size, refcheck=False)
     return PredecessorTable(indptr, indices)

@@ -86,11 +86,12 @@ class TestAbsSums:
             prev = a
 
 
-class TestInt64PartialSums:
+class TestExactPartialSums:
     def test_plain_ints_and_slopes(self, mu1000):
         mertens = mertens_tri(mu1000)
-        for report in (mertens, abs_sums(mu1000)):
-            assert report.ys.dtype == np.int16  # 1000 terms times a small |mu|
+        # the sums' own type: |M_T| <= 33 and sum |mu_T| = 471 through 1000
+        for report, dtype in ((mertens, np.int8), (abs_sums(mu1000), np.int16)):
+            assert report.ys.dtype == dtype
             ys = report.ys.tolist()
             assert type(report.final_value) is int and report.final_value == ys[-1]
             slope = report.slope_estimate
@@ -101,7 +102,7 @@ class TestInt64PartialSums:
 
     def test_classical_sums_from_int8(self):
         report = classical_mertens(classical_mobius(1000))
-        assert report.ys.dtype == np.int16  # int_type(1000 terms times |mu| <= 1)
+        assert report.ys.dtype == np.int8  # |M(n)| <= 12 through 1000
         assert type(report.final_value) is int
         assert report.ys.tolist() == list(
             itertools.accumulate(classical_mobius(1000).terms())
@@ -123,9 +124,9 @@ class TestInt64PartialSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ys is 4 MB of int32 (8 MB in int64); an int64 copy of the int8
-        # terms and a whole-array slope took ~24 MB
-        assert peak < 5 << 20
+        # ys is 2 MB of int16 (4 MB of int32 under the bound N * max |mu|);
+        # an int64 copy of the int8 terms and a whole-array slope took ~24 MB
+        assert peak < 3 << 20
 
     def test_abs_sums_hold_one_array(self):
         mu = MobiusVector(SequenceKind.IDENTITY, classical_mobius(10**6).values.astype(np.int64))
@@ -160,13 +161,44 @@ class TestInt64PartialSums:
         ],
     )
     @pytest.mark.parametrize("absolute", [False, True])
-    def test_sums_take_the_narrowest_type_of_their_bound(self, terms, dtype, absolute):
-        # len(terms) * max |term| must fit the type as +bound, not only as
-        # -bound: [64, 64] sums to 128, which int8 wraps to -128
+    def test_sums_take_the_narrowest_type_of_their_values(self, terms, dtype, absolute):
+        # the largest |sum| must fit the type as +value, not only as -value:
+        # [64, 64] sums to 128, which int8 wraps to -128
         ys = analysis_module._partial_sums(np.array(terms, dtype=np.int64), absolute)
         expected = itertools.accumulate(map(abs, terms) if absolute else terms)
         assert ys.tolist() == list(expected)
         assert ys.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "terms, dtype, absolute",
+        [
+            # cancelling sums: the bound 128 * 100 needs int16, the sums int8
+            ([100, -100] * 64, np.int8, False),
+            ([-100, 100] * 64, np.int8, False),
+            # an int8 -128 is 128 as a magnitude, which int8 cannot hold
+            ([-128] + [0] * 255, np.int16, True),
+            ([-128] + [0] * 255, np.int16, False),
+            ([-128, 127] * 200, np.int16, False),
+            ([-128, 127] * 200, np.int32, True),
+        ],
+    )
+    def test_sums_of_small_values_under_a_large_bound(self, terms, dtype, absolute):
+        values = np.array(terms, dtype=np.int8)
+        ys = analysis_module._partial_sums(values, absolute)
+        expected = itertools.accumulate(map(abs, terms) if absolute else terms)
+        assert ys.tolist() == list(expected)
+        assert ys.dtype == dtype
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_both_passes_carry_across_blocks(self, monkeypatch, absolute):
+        monkeypatch.setattr(analysis_module, "_RATIO_BLOCK", 7)
+        rng = random.Random(11)
+        for n, top in ((1, 5), (7, 100), (8, 100), (300, 127), (1000, 3000)):
+            terms = [rng.randint(-top, top) for _ in range(n)]
+            ys = analysis_module._partial_sums(np.array(terms, dtype=np.int16), absolute)
+            expected = list(itertools.accumulate(map(abs, terms) if absolute else terms))
+            assert ys.tolist() == expected
+            assert ys.dtype == np.min_scalar_type(-max(map(abs, expected)) - 1)
 
 
 def _float_list_lsq_slope(ys):

@@ -391,7 +391,7 @@ class TestMatrixArrays:
 
     def test_inverse_keeps_its_array(self, tri_poset):
         minv = invert_zeta(zeta_matrix(tri_poset, 60))
-        assert minv.array.dtype == np.int64 and minv.n == 60
+        assert minv.array.dtype == np.int8 and minv.n == 60  # |mu| <= 2
         assert minv == MobiusMatrix(minv.array.copy())
         assert minv != MobiusMatrix(zeta_matrix(tri_poset, 60).array)
 
@@ -464,6 +464,19 @@ class TestInt64Oracle:
             zeta = _random_unitriangular(n, density, rng)
             assert (invert_zeta(zeta).array.tolist()
                     == _forward_substitution_reference(zeta.array.tolist()))
+
+    @pytest.mark.parametrize(
+        "n, seed, dtype",
+        [(40, 1, np.int8), (60, 1, np.int16), (80, 2, np.int16), (100, 1, np.int32),
+         (150, 2, np.int32), (250, 1, np.int64)],
+    )
+    def test_inverse_widens_to_hold_its_values(self, n, seed, dtype):
+        zeta = _random_unitriangular(n, 0.5, random.Random(seed))
+        exact = _forward_substitution_reference(zeta.array.tolist())
+        inverse = invert_zeta(zeta).array
+        assert inverse.dtype == dtype
+        assert inverse.dtype == poset_module.int_type(max(abs(v) for row in exact for v in row))
+        assert inverse.tolist() == exact
 
     def test_rejects_one_flipped_entry(self, tri_poset):
         zeta = zeta_matrix(tri_poset, 30)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+import weakref
 from math import isqrt
 
 import numpy as np
@@ -16,7 +17,9 @@ from trimobius import (
     mobius_one_var,
     sequence_value,
     triangular_index,
+    zeta_matrix,
 )
+from trimobius.mobius import _mu_from
 
 TRI = SequenceKind.TRIANGULAR
 IDENT = SequenceKind.IDENTITY
@@ -228,7 +231,7 @@ class TestPredecessorTable:
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_csr_arrays_and_row_view(self, kind):
         table = DivisibilityPoset(kind, 300).predecessor_table(300)
-        assert table.indptr.dtype == np.int64 and len(table.indptr) == 302
+        assert table.indptr.dtype == np.int32 and len(table.indptr) == 302
         assert table.indices.dtype == np.int32
         assert len(table) == 301
         rows = [table.row(k) for k in range(301)]
@@ -238,6 +241,41 @@ class TestPredecessorTable:
         for k in (-1, 301):
             with pytest.raises(IndexError):
                 table.row(k)
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_pointers_stay_int32_while_a_run_cap_past_the_entries_fits(
+        self, kind, monkeypatch
+    ):
+        table = _build(kind, 300)
+        top = len(table.indices) + poset_module._RUN_CAP
+        monkeypatch.setattr(poset_module, "I32_MAX", top)
+        assert _build(kind, 300).indptr.dtype == np.int32
+        monkeypatch.setattr(poset_module, "I32_MAX", top - 1)
+        wide = _build(kind, 300)
+        assert wide.indptr.dtype == np.int64 and _same_table(wide, table)
+
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_int64_pointers_give_what_int32_pointers_give(self, kind, cap, monkeypatch):
+        n = 1000
+        poset = DivisibilityPoset(kind, n)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
+
+        def results():
+            table = poset.predecessor_table(n)
+            mus = [_mu_from(table, m) for m in (1, 2, 6, 10)]
+            return table, mus, zeta_matrix(poset, n), poset.hasse_edges(n)
+
+        narrow = results()
+        # above n, so the identity builder still runs, but below the entry
+        # count plus the cap, so the pointers widen
+        monkeypatch.setattr(poset_module, "I32_MAX", n + 1)
+        wide = results()
+        assert narrow[0].indptr.dtype == np.int32 and wide[0].indptr.dtype == np.int64
+        assert _same_table(narrow[0], wide[0])
+        for a, b in zip(narrow[1], wide[1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert narrow[2] == wide[2] and narrow[3] == wide[3]
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_rows_are_read_only(self, kind):
@@ -530,6 +568,45 @@ class TestHasseEdges:
         for cap in (1, 7):
             monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
             assert DivisibilityPoset(kind, 3000).hasse_edges(3000) == expected, cap
+
+    @pytest.mark.parametrize("kind", [TRI, IDENT])
+    def test_table_is_freed_before_the_edges_are_listed(self, kind, monkeypatch):
+        expected = DivisibilityPoset(kind, 3000).hasse_edges(3000)
+        refs = []
+        build, make_graph = DivisibilityPoset.predecessor_table, poset_module.HasseGraph
+
+        def spy_build(poset, n):
+            table = build(poset, n)
+            refs.extend(map(weakref.ref, (table, table.indptr, table.indices)))
+            return table
+
+        def spy_graph(*args):
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
+            return make_graph(*args)
+
+        monkeypatch.setattr(DivisibilityPoset, "predecessor_table", spy_build)
+        monkeypatch.setattr(poset_module, "HasseGraph", spy_graph)
+        graph = DivisibilityPoset(kind, 3000).hasse_edges(3000)
+        monkeypatch.undo()
+        assert graph == expected
+
+    def test_edges_are_sorted_without_the_table(self):
+        n = 200_000
+        poset = DivisibilityPoset(TRI, n)
+        table = poset.predecessor_table(n)
+        table_bytes = table.indptr.nbytes + table.indices.nbytes  # 3.8 MB
+        del table
+        tracemalloc.start()
+        try:
+            graph = poset.hasse_edges(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.lower) == 339_795
+        # the run loop holds the table, the cover CSR and a run's temporaries
+        # (~3.0 MB beside the table); with the table still held through the
+        # listing and the sort of the edges the peak was ~7.5 MB beside it
+        assert peak < table_bytes + (4 << 20)
 
     def test_rows_at_block_edges_match_covers(self):
         # the builder makes its rows in blocks of _K_BLOCK starting at row 2,
