@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -264,23 +264,11 @@ def _fixed_sums(terms: np.ndarray, kind: SequenceKind) -> np.ndarray:
     raise ArithmeticError(f"ratio sum at n={np.isnan(ys).argmax() + 1} left undecided")
 
 
-def _exact_sums(terms: list, denominators: list) -> Fraction:
-    """The exact sum of t / d, kept over the running lcm of the d: no step reduces by a gcd."""
-    num, lcm = 0, 1
-    for t, d in zip(terms, denominators):
-        g = gcd(lcm, d)
-        if g != d:
-            num *= d // g
-            lcm *= d // g
-        num += t * (lcm // d)
-    return Fraction(num, lcm)
-
-
 def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind) -> SeriesReport:
     """Shared builder for the two ratio series, mu(k) / value(k) of the kind.
 
     Within EXACT_RATIO_LIMIT terms, final_value and the slope are exact
-    Fractions, from _exact_sums over the nonzero terms; beyond, floats.
+    Fractions, summed one Fraction per nonzero term; beyond, floats.
     """
     terms = mu.values[1:]
     n, ys = len(terms), _fixed_sums(terms, kind)
@@ -288,7 +276,7 @@ def _ratio_series(name: str, mu: MobiusVector, kind: SequenceKind) -> SeriesRepo
     if n <= EXACT_RATIO_LIMIT:
         nonzero = np.flatnonzero(terms)
         values = sequence_values(kind, (nonzero + 1).astype(np.uint64)).tolist()
-        final = _exact_sums(terms[nonzero].tolist(), values)
+        final = sum(map(Fraction, terms[nonzero].tolist(), values), Fraction(0))
         first = Fraction(int(terms[0]))  # value(1) = 1
     return SeriesReport(name=name, ys=ys, slope_estimate=_endpoint_slope(first, final, n),
                         slope_lsq=_lsq_slope(ys), final_value=final)
@@ -339,19 +327,17 @@ def magnitude_records(mu: MobiusVector, signed: bool = False) -> MagnitudeRecord
     """First indices reaching each magnitude 1..max.
 
     With signed=False the magnitude of mu(n) is |mu(n)|; with signed=True
-    it is mu(n) itself and only positive values count.  The first index at
-    or above M is a binary search in the running maximum; the first index
-    equal to M takes one pass per magnitude.
+    it is mu(n) itself and only positive values count.  Each magnitude
+    takes one pass for the first index at or above it and one for the
+    first index equal to it.
     """
     terms = mu.values[1:]
     # |terms| read as unsigned, so the dtype's minimum does not wrap
     mags = terms if signed else np.abs(terms).view(f"u{terms.itemsize}")
-    top = max(int(mags.max()), 0)
-    levels = np.arange(1, top + 1, dtype=mags.dtype)  # searched without a cast
-    first_geq = np.searchsorted(np.maximum.accumulate(mags), levels) + 1
     rows = []
-    for m, geq in zip(levels.tolist(), first_geq.tolist()):
+    for m in range(1, int(mags.max()) + 1):  # m fits mags' type, so no cast
         at = int(np.argmax(mags == m))
+        geq = int(np.argmax(mags >= m)) + 1
         rows.append(MagnitudeRecord(m, geq, at + 1 if mags[at] == m else None))
     return MagnitudeRecordTable(signed=signed, rows=tuple(rows))
 

@@ -64,19 +64,19 @@ def _mu_from(table: PredecessorTable, m: int) -> np.ndarray:
     none is empty, and every value a run reads is final.  No row of the
     run holding m reads m, so that run writes 0 over mu(m, m), which is
     set back to 1.  A run's sums are taken in int_type of the largest |mu|
-    so far times its longest row, which raises OverflowError before a sum
-    could leave int64.  mu starts as int8 and is widened to
-    int_type(largest |mu|) when a run's sums pass its type, so it is
-    returned in the narrowest type holding them.
+    it gathers times its longest row, which raises OverflowError before a
+    sum could leave int64, whatever the run cap.  mu starts as int8 and is
+    widened to int_type of a run's largest |sum| when that passes its type,
+    so it is returned in the narrowest type holding its values.
     """
     mu = np.zeros(len(table), dtype=np.int8)
     mu[m] = 1
-    top = 1  # largest |mu| so far, a Python int
     for lo, hi, entries, offsets in table.runs():
-        dtype = int_type(top * int(np.diff(offsets).max()))
-        # the gather is a temporary, freed before the next run's is built
-        sums = np.add.reduceat(mu[entries], offsets[:-1], dtype=dtype)
-        top = max(top, magnitude(sums))
+        gathered = mu[entries]
+        dtype = int_type(magnitude(gathered) * int(np.diff(offsets).max()))
+        sums = np.add.reduceat(gathered, offsets[:-1], dtype=dtype)
+        del gathered  # freed before the next run's is built
+        top = magnitude(sums)
         if top > np.iinfo(mu.dtype).max:
             mu = mu.astype(int_type(top))
         np.negative(sums, out=mu[lo : hi + 1])

@@ -132,9 +132,8 @@ class PredecessorTable:
     """Strict predecessors of the elements 0..n, in CSR form.
 
     Row k is indices[indptr[k]:indptr[k + 1]], ascending; indices is int32,
-    and indptr, with n + 2 entries, is int32 while the entry count plus
-    _RUN_CAP fits it, so that runs() can add _RUN_CAP to a pointer, and
-    int64 past that.  len(t) == n + 1, t.row(k) is row k as an int32 view,
+    and indptr, with n + 2 entries, is int32 while the entry count fits it
+    and int64 past that.  len(t) == n + 1, t.row(k) is row k as an int32 view,
     iteration yields those views in order, and runs() cuts rows 2..n into
     runs.  The arrays are read-only.
     """
@@ -165,13 +164,16 @@ class PredecessorTable:
         entries[offsets[k - lo]:offsets[k - lo + 1]].  A run holds at most
         _RUN_CAP entries (a single row always runs) and ends just before the
         first row whose last entry is >= lo, so no row of a run reads an
-        element at or past lo, whatever the sequence.
+        element at or past lo, whatever the sequence.  The search target is
+        clamped to the last pointer, so it stays in the pointers' own type
+        and numpy searches indptr without a widened copy.
         """
         indptr, indices = self.indptr, self.indices
         lo = 2
         while lo < len(self):
             # rows lo..hi hold at most _RUN_CAP entries, or hi = lo
-            hi = max(lo, int(np.searchsorted(indptr, indptr[lo] + _RUN_CAP, "right")) - 2)
+            target = indptr[lo] + min(_RUN_CAP, indptr[-1] - indptr[lo])
+            hi = max(lo, int(np.searchsorted(indptr, target, "right")) - 2)
             reads_lo = indices[indptr[lo + 2 : hi + 2] - 1] >= lo  # rows lo+1..hi
             if reads_lo.any():
                 hi = lo + int(reads_lo.argmax())
@@ -387,7 +389,7 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
     one buffer grown in place, so the table is never held twice.  Both
     arrays grow with the blocks, the row counts as int32; resize fills
     with zeros.  The counts become pointers by a cumsum in place, widened
-    to int64 first only when the entry count plus _RUN_CAP passes I32_MAX.
+    to int64 first only when the entry count passes I32_MAX.
     """
     indptr = np.zeros(2, dtype=np.int32)  # rows 0 and 1 are empty
     indices = np.zeros(0, dtype=np.int32)
@@ -401,7 +403,7 @@ def _csr_from_blocks(n: int, blocks) -> PredecessorTable:
         indptr.resize(hi + 2, refcheck=False)
         indptr[lo + 1 :] = np.bincount((key >> 32) - lo, minlength=hi - lo + 1)
     indptr.resize(n + 2, refcheck=False)
-    if size + _RUN_CAP > I32_MAX:
+    if size > I32_MAX:
         indptr = indptr.astype(np.int64)
     np.cumsum(indptr, out=indptr)
     indices.resize(size, refcheck=False)

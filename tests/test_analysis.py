@@ -18,7 +18,6 @@ from expected import (
 )
 from trimobius import analysis as analysis_module
 from trimobius import (
-    MAX_TRIANGULAR_INDEX,
     DivisibilityPoset,
     MobiusVector,
     SequenceKind,
@@ -502,35 +501,6 @@ class TestCertified:
                             (100, [math.nan] * 4 + [2.0**-96, -(2.0**-96)])):
             got = analysis_module._certified(_limbs(values, width, rows), np.full(6, k), 8, width, 1)
             assert list(map(repr, got.tolist())) == list(map(repr, expected))
-
-
-class TestExactSums:
-    """_exact_sums against the sum of one Fraction per term."""
-
-    @pytest.mark.parametrize(
-        "kind, first",
-        [
-            (TRI, 1),
-            (TRI, 2**20),
-            (TRI, MAX_TRIANGULAR_INDEX - 1999),  # values near 2**64
-            (SequenceKind.IDENTITY, 1),
-            (SequenceKind.IDENTITY, 2**53 - 1000),
-            (SequenceKind.IDENTITY, 2**64 - 2000),
-        ],
-    )
-    def test_seeded_terms(self, kind, first):
-        rng = np.random.default_rng(first % 2**32)
-        k = first + np.flatnonzero(rng.random(2000) < 0.45).astype(np.uint64)
-        denominators = sequence_values(kind, k).tolist()
-        terms = (rng.integers(1, 31, len(k)) * rng.choice([-1, 1], len(k))).tolist()
-        final = analysis_module._exact_sums(terms, denominators)
-        assert type(final) is Fraction
-        assert final == sum(map(Fraction, terms, denominators), Fraction(0))
-        if first > 2**32:
-            assert max(denominators) > 2**53
-
-    def test_empty(self):
-        assert analysis_module._exact_sums([], []) == Fraction(0)
 
 
 class TestMagnitudeRecords:

@@ -77,19 +77,42 @@ def test_only_poset_reads_the_table_arrays():
     assert not readers, f"table arrays read outside poset.py: {readers}"
 
 
-def test_runs_takes_no_argument():
-    # the run cap has one value, _RUN_CAP, which runs() reads itself
-    tree = _tree(_PACKAGE / "poset.py")
+def _runs() -> ast.FunctionDef:
+    """The definition of PredecessorTable.runs."""
     (runs,) = [
         node
-        for cls in tree.body
+        for cls in _tree(_PACKAGE / "poset.py").body
         if isinstance(cls, ast.ClassDef) and cls.name == "PredecessorTable"
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and node.name == "runs"
     ]
-    params = runs.args
+    return runs
+
+
+def test_runs_takes_no_argument():
+    # the run cap has one value, _RUN_CAP, which runs() reads itself
+    params = _runs().args
     assert [a.arg for a in params.posonlyargs + params.args] == ["self"]
     assert not (params.vararg or params.kwonlyargs or params.kwarg)
+
+
+def test_only_runs_reads_the_run_cap():
+    # the cap cuts runs and nothing else: no pointer type or bound reads it
+    def reads(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_RUN_CAP"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "_RUN_CAP"
+            or isinstance(node, ast.ImportFrom) and "_RUN_CAP" in (a.name for a in node.names)
+        ]
+
+    inside = reads(_runs())
+    assert inside
+    outside = {path.name: reads(_tree(path)) for path in _MODULES}
+    outside["poset.py"] = sorted(set(outside["poset.py"]) - set(inside))
+    assert not any(outside.values()), f"_RUN_CAP read outside runs(): {outside}"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

@@ -114,11 +114,12 @@ class TestBlockedRecursion:
             assert all(type(v) is int for v in vec.terms())
 
     def test_overflow_raises_before_the_sums(self, tri_poset, monkeypatch):
-        # with int64 shrunk to 63, the bound (largest |mu| so far times the
-        # longest row of a run) passes 63 before n = 2000, not by n = 10.
+        # with int64 shrunk to 31, the bound (largest |mu| a run gathers
+        # times its longest row) passes 31 before n = 2000 (it reaches 44),
+        # not by n = 10 (at most 3).
         # The tables come first: the builder's own limit reads I64_MAX too.
         big, small = tri_poset.predecessor_table(2000), tri_poset.predecessor_table(10)
-        monkeypatch.setattr(poset_module, "I64_MAX", 63)
+        monkeypatch.setattr(poset_module, "I64_MAX", 31)
         with pytest.raises(OverflowError):
             _mu_from(big, 1)
         assert _mu_from(small, 1)[1:].tolist() == MU_TRI_10
@@ -219,12 +220,14 @@ class TestNarrowestType:
         assert values.tolist() == mu
         assert values.dtype == dtype
 
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 14])
     @pytest.mark.parametrize("target", [2**62, -(2**62)])
-    def test_mu_reaches_the_int64_limit(self, target):
-        # the two rows of 2**62 run together, each summing two entries of
-        # 2**61, and the last row reads one entry: every bound is 2**62.
-        # (Run one row at a time, the second reads 2**62 as the top so far.)
+    def test_mu_reaches_the_int64_limit(self, monkeypatch, target, cap):
+        # the two rows of 2**62 each sum two entries of 2**61, and the last
+        # row reads one entry: every bound is 2**62, however the rows run,
+        # as a run's bound counts only the values it gathers
         mu, table = _table_reaching(target)
+        monkeypatch.setattr(poset_module, "_RUN_CAP", cap)
         values = _mu_from(table, 1)
         assert values.tolist() == mu
         assert values.dtype == np.int64
@@ -232,7 +235,7 @@ class TestNarrowestType:
     @pytest.mark.parametrize("target, bound", [(2**62 - 1, 62 * 2**61), (2**63 - 1, 63 * 2**62)])
     def test_mu_past_the_int64_limit_raises(self, target, bound):
         # the last row reads 62 (63) entries, with |mu| up to 2**61 (2**62)
-        # so far: a bound past 2**63 - 1, although the value itself fits
+        # among them: a bound past 2**63 - 1, although the value itself fits
         _, table = _table_reaching(target)
         with pytest.raises(OverflowError, match=f"up to {bound} in magnitude"):
             _mu_from(table, 1)

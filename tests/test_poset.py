@@ -243,11 +243,9 @@ class TestPredecessorTable:
                 table.row(k)
 
     @pytest.mark.parametrize("kind", [TRI, IDENT])
-    def test_pointers_stay_int32_while_a_run_cap_past_the_entries_fits(
-        self, kind, monkeypatch
-    ):
+    def test_pointers_stay_int32_while_the_entry_count_fits(self, kind, monkeypatch):
         table = _build(kind, 300)
-        top = len(table.indices) + poset_module._RUN_CAP
+        top = len(table.indices)
         monkeypatch.setattr(poset_module, "I32_MAX", top)
         assert _build(kind, 300).indptr.dtype == np.int32
         monkeypatch.setattr(poset_module, "I32_MAX", top - 1)
@@ -268,7 +266,7 @@ class TestPredecessorTable:
 
         narrow = results()
         # above n, so the identity builder still runs, but below the entry
-        # count plus the cap, so the pointers widen
+        # count, so the pointers widen
         monkeypatch.setattr(poset_module, "I32_MAX", n + 1)
         wide = results()
         assert narrow[0].indptr.dtype == np.int32 and wide[0].indptr.dtype == np.int64
