@@ -303,6 +303,15 @@ class TestRatioSums:
         assert tri.ys.tolist() == [1.0, 2 / 3] and tri.final_value == Fraction(2, 3)
         assert tri.slope_estimate == Fraction(-1, 3)
 
+    @pytest.mark.parametrize("ratio_sums", [ratio_sums_index, ratio_sums_triangular])
+    def test_all_zero_terms_give_an_exact_zero(self, ratio_sums):
+        # no nonzero term to sum: the exact final value is still a Fraction
+        for n in (1, 2, 2000):
+            report = ratio_sums(_vec([0] * n))
+            assert _bits(report.ys) == _bits(np.zeros(n))
+            assert type(report.final_value) is Fraction and report.final_value == 0
+            assert type(report.slope_estimate) is Fraction and report.slope_estimate == 0
+
     def test_exact_prefix_is_rational(self, mu1000):
         report = ratio_sums_index(mu1000)
         exact = sum(Fraction(t, n) for n, t in enumerate(mu1000.terms(), 1))
