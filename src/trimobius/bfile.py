@@ -279,21 +279,20 @@ class DiffReport:
         )
 
 
-def oeis_diff(reference: BFile, terms, offset: int = 1) -> DiffReport:
-    """Compare computed terms (term k has index offset+k) against a b-file.
+def oeis_diff(reference: BFile, terms) -> DiffReport:
+    """Compare computed terms (term k, counting from 0, has index k + 1) against a b-file.
 
     Reports the first disagreeing index, or confirms the full overlap; an
     empty overlap is an error, not a vacuous match.  terms is a list of ints
     or an integer ndarray, of which only the overlap goes to Python ints.
     """
-    lo = max(reference.offset, offset)
-    hi = min(reference.last_index, offset + len(terms) - 1)
+    lo, hi = max(reference.offset, 1), min(reference.last_index, len(terms))
     if hi < lo:
         raise ValueError(
             f"empty overlap: reference covers {reference.offset}..{reference.last_index}, "
-            f"computed covers {offset}..{offset + len(terms) - 1}"
+            f"computed covers 1..{len(terms)}"
         )
-    computed = terms[lo - offset : hi - offset + 1]
+    computed = terms[lo - 1 : hi]
     computed = computed.tolist() if isinstance(computed, np.ndarray) else computed
     published = reference.terms()[lo - reference.offset : hi - reference.offset + 1]
     for n, expected, actual in zip(range(lo, hi + 1), published, computed):

@@ -33,10 +33,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _kind(args) -> SequenceKind:
-    return SequenceKind(args.kind)
-
-
 def _output(out):
     """The file out opened for writing, or stdout, to enter before anything is computed."""
     return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
@@ -169,12 +165,14 @@ def _write(table: dict, default: str, value, args) -> int:
 
 
 def _mu(args) -> mobius.MobiusVector:
-    return mobius.mobius_one_var(DivisibilityPoset(_kind(args), args.limit), args.limit)
+    poset = DivisibilityPoset(SequenceKind(args.kind), args.limit)
+    return mobius.mobius_one_var(poset, args.limit)
 
 
 def _matrix(args, which: str):
     """The zeta matrix of the chosen poset up to args.limit, or its inverse."""
-    zeta = mobius.zeta_matrix(DivisibilityPoset(_kind(args), args.limit), args.limit)
+    poset = DivisibilityPoset(SequenceKind(args.kind), args.limit)
+    zeta = mobius.zeta_matrix(poset, args.limit)
     return zeta if which == "zeta" else mobius.invert_zeta(zeta)
 
 
@@ -197,7 +195,7 @@ _WRITTEN = {
     "mobius-matrix": ("exact inverse of the zeta matrix",
                       lambda a: _matrix(a, "mobius"), _MATRIX, "csv"),
     "hasse": ("covering relations as a DOT digraph",
-              lambda a: DivisibilityPoset(_kind(a), a.limit).hasse_edges(a.limit),
+              lambda a: DivisibilityPoset(SequenceKind(a.kind), a.limit).hasse_edges(a.limit),
               {"dot": exports.dot_pieces}, "dot"),
     "heatmap": ("SVG heatmap of a matrix",
                 lambda a: (_matrix(a, a.matrix),
@@ -209,19 +207,26 @@ _WRITTEN = {
 }
 
 
-def cmd_props(args) -> int:
-    with _output(args.out) as fh:
-        scan = props.scan_range(args.max_n)
-        if scan.prop1_failures:
-            fh.write(f"prop1 FAIL: T(n) | T(n(n+1)) broken at n={list(scan.prop1_failures[:5])}\n")
-        else:
-            fh.write(f"prop1 OK: T(n) divides T(n(n+1)) for all n <= {scan.max_n}\n")
-        if scan.prop2_pattern_breaks:
-            fh.write("prop2 FAIL: divisibility/mod-4 pattern broken at "
-                     f"n={list(scan.prop2_pattern_breaks[:5])}\n")
-        else:
-            fh.write(f"prop2 OK: T(n) | T(T(n)) exactly when n = 1, 2 (mod 4), n <= {scan.max_n}\n")
-    return 0 if scan.ok else 1
+def _check(run, args) -> int:
+    """Write the lines of run(args), to --out if the check has one; 0 if it held, else 1.
+
+    --out is opened before run(args) computes.
+    """
+    with _output(getattr(args, "out", None)) as fh:
+        lines, held = run(args)
+        fh.writelines(lines)
+    return 0 if held else 1
+
+
+def _props(args):
+    scan = props.scan_range(args.max_n)
+    bad1, bad2 = list(scan.prop1_failures[:5]), list(scan.prop2_pattern_breaks[:5])
+    return [
+        f"prop1 FAIL: T(n) | T(n(n+1)) broken at n={bad1}\n" if bad1
+        else f"prop1 OK: T(n) divides T(n(n+1)) for all n <= {scan.max_n}\n",
+        f"prop2 FAIL: divisibility/mod-4 pattern broken at n={bad2}\n" if bad2
+        else f"prop2 OK: T(n) | T(T(n)) exactly when n = 1, 2 (mod 4), n <= {scan.max_n}\n",
+    ], scan.ok
 
 
 def cmd_classical(args) -> int:
@@ -237,10 +242,11 @@ def cmd_classical(args) -> int:
 _VERIFY_ROWS = 64
 
 
-def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.MobiusVector:
-    """Check the table, and mu by R.mu = e_1, against the order R on 1..n; return mu.
+def _verify_kind(kind: SequenceKind, n: int):
+    """Yield each way the table, or mu by R.mu = e_1, is off the order R on 1..n.
 
-    R is built and used _VERIFY_ROWS rows at a time.
+    R is built and used _VERIFY_ROWS rows at a time.  The identity kind's mu
+    is then compared with the classical sieve.
     """
     poset = DivisibilityPoset(kind, n)
     # zeta_matrix refuses n > DENSE_CAP before any table is built
@@ -262,46 +268,38 @@ def _verify_kind(kind: SequenceKind, n: int, failures: list[str]) -> mobius.Mobi
         if mu is not None:
             sums[block] = relation @ mu
     if differs.any():
-        failures.append(f"{kind.value}: predecessor row {differs.argmax() + 1} differs")
-    if mu is None:
-        failures.append(f"{kind.value}: zero sums may reach {bound}, beyond int64")
-        return vec
+        yield f"{kind.value}: predecessor row {differs.argmax() + 1} differs"
     sums[0] -= 1
-    broken = np.flatnonzero(sums)
-    if len(broken):
-        failures.append(f"{kind.value}: zero-sum broken at n={broken[0] + 1}")
-    return vec
+    if mu is None:
+        yield f"{kind.value}: zero sums may reach {bound}, beyond int64"
+    elif sums.any():
+        yield f"{kind.value}: zero-sum broken at n={np.flatnonzero(sums)[0] + 1}"
+    if kind is SequenceKind.IDENTITY and not np.array_equal(
+            vec.values, analysis.classical_mobius(n).values):
+        yield "identity kind disagrees with the classical sieve"
 
 
-def cmd_verify(args) -> int:
+def _verify(args):
     n = args.limit or 200
-    failures: list[str] = []
-    _verify_kind(SequenceKind.TRIANGULAR, n, failures)
-    ident = _verify_kind(SequenceKind.IDENTITY, n, failures)
-    if not np.array_equal(ident.values, analysis.classical_mobius(n).values):
-        failures.append("identity kind disagrees with the classical sieve")
-    sys.stdout.writelines([f"FAIL: {f}\n" for f in failures] or ["OK\n"])
-    return 1 if failures else 0
+    failures = [f for kind in SequenceKind for f in _verify_kind(kind, n)]
+    return [f"FAIL: {f}\n" for f in failures] or ["OK\n"], not failures
 
 
-def cmd_oeis_diff(args) -> int:
+def _oeis_diff(args):
+    kind = SequenceKind(args.kind)
     if args.bfile:
         reference = bfile.load_bfile(args.bfile)
     else:
-        if _kind(args) is not SequenceKind.TRIANGULAR:
+        if kind is not SequenceKind.TRIANGULAR:
             raise UsageError("bundled snapshots cover the triangular kind only")
         name = "A350682" if args.series == "mobius" else "A351167"
         reference = bfile.bundled_snapshot(name)
     # n >= 1 even for a b-file ending at index 0, whose overlap oeis_diff rejects
     n = args.limit or max(reference.last_index, 1)
-    vec = mobius.mobius_one_var(DivisibilityPoset(_kind(args), n), n)
-    if args.series == "mobius":
-        terms = vec.values[1:]
-    else:
-        terms = analysis.mertens_tri(vec).ys
+    vec = mobius.mobius_one_var(DivisibilityPoset(kind, n), n)
+    terms = vec.values[1:] if args.series == "mobius" else analysis.mertens_tri(vec).ys
     report = bfile.oeis_diff(reference, terms)
-    sys.stdout.write(report.summary() + "\n")
-    return 0 if report.matched else 1
+    return [report.summary() + "\n"], report.matched
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,15 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
                                         default="mobius")
     sub.choices["records"].add_argument("--signed", action="store_true",
                                         help="record mu(n) >= M instead of |mu(n)| >= M")
-    p = add("props", cmd_props, "verify the divisibility propositions",
+    p = add("props", functools.partial(_check, _props), "verify the divisibility propositions",
             limit=False, kind=False)
     p.add_argument("--max-n", type=positive_int, default=10_000)
     p = add("classical", cmd_classical, "classical Mobius baseline", limit="req",
             kind=False, fmt=_SERIES)
     p.add_argument("--series", choices=["mobius", "mertens"], default="mobius")
-    add("verify", cmd_verify, "internal consistency checks (default n=200)",
+    add("verify", functools.partial(_check, _verify), "internal consistency checks (default n=200)",
         kind=False, out=False)
-    p = add("oeis-diff", cmd_oeis_diff, "compare against an OEIS b-file", out=False)
+    p = add("oeis-diff", functools.partial(_check, _oeis_diff), "compare against an OEIS b-file",
+            out=False)
     p.add_argument("--series", choices=["mobius", "sums"], default="mobius")
     p.add_argument("--bfile", metavar="PATH", default=None,
                    help="reference b-file (default: bundled snapshot)")

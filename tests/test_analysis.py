@@ -115,6 +115,7 @@ class TestExactPartialSums:
                 abs_sums(_vec(values))
         assert mertens_tri(_vec([2**62 - 1, 2**62 - 1])).final_value == 2**63 - 2
 
+    @pytest.mark.memory
     def test_classical_sums_hold_one_array(self):
         sieve = classical_mobius(10**6)
         tracemalloc.start()
@@ -127,6 +128,7 @@ class TestExactPartialSums:
         # an int64 copy of the int8 terms and a whole-array slope took ~24 MB
         assert peak < 3 << 20
 
+    @pytest.mark.memory
     def test_abs_sums_hold_one_array(self):
         mu = MobiusVector(SequenceKind.IDENTITY, classical_mobius(10**6).values.astype(np.int64))
         tracemalloc.start()
@@ -137,6 +139,7 @@ class TestExactPartialSums:
             tracemalloc.stop()
         assert peak < 10 << 20  # an np.abs copy of the terms took ~32 MB
 
+    @pytest.mark.memory
     def test_ratio_sums_hold_ys_and_a_block(self):
         mu = classical_mobius(10**6)
         tracemalloc.start()
@@ -237,6 +240,7 @@ class TestLsqSlope:
         for ys in _slope_inputs(n):
             assert analysis_module._lsq_slope(ys) == _float_list_lsq_slope(ys)
 
+    @pytest.mark.memory
     def test_holds_one_block(self):
         ys = np.cumsum(np.random.default_rng(3).integers(-1, 2, 10**6))
         tracemalloc.start()

@@ -153,3 +153,22 @@ def test_every_private_name_is_read():
         if name not in read
     }
     assert not unread, f"private names defined but never read: {unread}"
+
+
+def test_only_output_names_stdout():
+    # every command writes through _output, which alone picks stdout over --out
+    tree = _tree(_PACKAGE / "cli.py")
+
+    def stdout(node):
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr == "stdout"
+            and isinstance(n.value, ast.Name) and n.value.id == "sys"
+        ]
+
+    (output,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_output"]
+    inside = stdout(output)
+    assert inside
+    outside = sorted(set(stdout(tree)) - set(inside))
+    assert not outside, f"cli.py names sys.stdout outside _output, at lines {outside}"

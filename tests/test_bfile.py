@@ -312,8 +312,9 @@ class TestOeisDiff:
     def test_empty_overlap_is_an_error(self):
         snap = parse_bfile("5 1\n6 2\n")
         with pytest.raises(ValueError):
-            oeis_diff(snap, [1, 2], offset=1)
+            oeis_diff(snap, [1, 2])
 
+    @pytest.mark.memory
     def test_only_the_overlap_of_an_array_is_converted(self):
         snap = bundled_snapshot("A351167")
         terms = np.zeros(10**6, dtype=np.int64)

@@ -524,14 +524,14 @@ class TestVerifyCommand:
         assert code == 1
         assert out == "FAIL: triangular: zero-sum broken at n=17\n"
 
+    @pytest.mark.memory
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_holds_a_block_of_the_relation(self, kind):
         # the 1 MB int8 zeta matrix and blocks of rows; the whole n x n
         # relation took ~9.6 MB, an 8 MB uint64 remainder among it
         tracemalloc.start()
         try:
-            failures = []
-            cli._verify_kind(kind, 1000, failures)
+            failures = list(cli._verify_kind(kind, 1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,6 +577,32 @@ class TestVerifyCommand:
             f"FAIL: triangular: predecessor row {i + 1} differs\n"
             f"FAIL: identity: predecessor row {i + 1} differs\n"
         )
+
+    def test_reports_identity_off_the_classical_sieve(self, capsys, monkeypatch):
+        real = cli.analysis.classical_mobius
+
+        def sieve(n):
+            vec = real(n)
+            values = vec.values.copy()
+            values[7] = -values[7]  # mu(7) = -1
+            return MobiusVector(kind=vec.kind, values=values)
+
+        monkeypatch.setattr(cli.analysis, "classical_mobius", sieve)
+        expected = "FAIL: identity kind disagrees with the classical sieve\n"
+        assert run(capsys, "verify", "-n", "30")[:2] == (1, expected)
+        # with a zeta row off the relation too, the triangular line comes
+        # first, and the sieve line after the identity kind's other line
+        real_zeta = cli.mobius.zeta_matrix
+
+        def flipped(poset, n):
+            z = real_zeta(poset, n).array.copy()
+            z[4, 1] ^= 1
+            return ZetaMatrix(z)
+
+        monkeypatch.setattr(cli.mobius, "zeta_matrix", flipped)
+        assert run(capsys, "verify", "-n", "30")[:2] == (1, (
+            "FAIL: triangular: predecessor row 5 differs\n"
+            "FAIL: identity: predecessor row 5 differs\n" + expected))
 
     def test_refuses_zero_sums_that_could_wrap(self, capsys, monkeypatch):
         # one |mu| = 2**62: a row of 50 such terms could leave int64, so no

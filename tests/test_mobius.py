@@ -143,6 +143,7 @@ class TestBlockedRecursion:
         monkeypatch.setattr(poset_module, "_RUN_CAP", 7)
         assert np.array_equal(mobius_one_var(tri_poset_1e5).values, whole)
 
+    @pytest.mark.memory
     @pytest.mark.parametrize("kind", [TRI, IDENT])
     def test_gather_is_freed_before_the_next_run(self, kind, monkeypatch):
         # beside mu, a run holds its gather of at most _RUN_CAP int64
@@ -240,6 +241,7 @@ class TestNarrowestType:
         with pytest.raises(OverflowError, match=f"up to {bound} in magnitude"):
             _mu_from(table, 1)
 
+    @pytest.mark.memory
     def test_mu_holds_one_byte_per_element(self):
         # int8 mu is 100,001 bytes; int64 took 800,008 before any run
         table = DivisibilityPoset(TRI, 100_000).predecessor_table(100_000)

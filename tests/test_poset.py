@@ -372,6 +372,7 @@ class TestTriangularBuilder:
         for k in random.Random(20240207).sample(range(2, n + 1), 50):
             assert table.row(k).tolist() == tri_poset_1e5.strict_predecessors_trial(k), k
 
+    @pytest.mark.memory
     def test_transient_memory_is_bounded(self):
         # the table itself is most of what the build allocates; a segment
         # size that balloons the candidate arrays pushes the peak past this
@@ -588,6 +589,7 @@ class TestHasseEdges:
         monkeypatch.undo()
         assert graph == expected
 
+    @pytest.mark.memory
     def test_edges_are_sorted_without_the_table(self):
         n = 200_000
         poset = DivisibilityPoset(TRI, n)

@@ -99,6 +99,7 @@ class TestLineChart:
         assert root.find(f"{svg_ns}text").text == "a<b&c>"
         assert len(root.find(f"{svg_ns}polyline").get("points").split()) == 3
 
+    @pytest.mark.memory
     def test_pieces_are_consumed_in_bounded_memory(self, tri_poset_1e5):
         report = abs_sums(mobius_one_var(tri_poset_1e5))
         tracemalloc.start()
