@@ -1,96 +1,41 @@
 """Exact Mobius function computation for sequence-induced divisibility posets."""
 
-import os as _os
-import sys as _sys
+from importlib import import_module as _import_module
 
-# trimobius makes no BLAS call, but numpy's OpenBLAS starts a worker thread
-# per extra core when numpy loads, and reads OPENBLAS_NUM_THREADS only then.
-# So numpy is loaded here with one thread, unless it is loaded already or the
-# variable is set, and the environment is then left as it was.
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .analysis import (
-    MagnitudeRecord,
-    MagnitudeRecordTable,
-    SeriesReport,
-    abs_sums,
-    classical_mertens,
-    classical_mobius,
-    estimate_C,
-    magnitude_records,
-    mertens_tri,
-    ratio_sums_index,
-    ratio_sums_triangular,
-)
-from .bfile import BFile, DiffReport, format_bfile, load_bfile, oeis_diff
-from .exports import hasse_to_dot, matrix_to_csv
-from .mobius import (
-    DENSE_CAP,
-    MobiusMatrix,
-    MobiusVector,
-    ZetaMatrix,
-    invert_zeta,
-    mobius_one_var,
-    mobius_two_var,
-    verify_inverse,
-    zeta_matrix,
-)
-from .poset import (
-    MAX_TRIANGULAR_INDEX,
-    DivisibilityPoset,
-    HasseGraph,
-    SequenceKind,
-    sequence_value,
-    triangular_index,
-)
-from .props import PropositionVerdict, prop1_check, prop2_check, scan_range
-from .svg import svg_heatmap, svg_line_chart
+# Each public name -> the module that defines it.  A name is imported from
+# its module when it is first read (PEP 562), so import trimobius loads
+# neither numpy nor any module of the package.
+_HOME = {
+    **dict.fromkeys(["MagnitudeRecord", "MagnitudeRecordTable", "SeriesReport", "abs_sums",
+                     "classical_mertens", "classical_mobius", "estimate_C", "magnitude_records",
+                     "mertens_tri", "ratio_sums_index", "ratio_sums_triangular"], "analysis"),
+    **dict.fromkeys(["BFile", "DiffReport", "format_bfile", "load_bfile", "oeis_diff"], "bfile"),
+    **dict.fromkeys(["hasse_to_dot", "matrix_to_csv"], "exports"),
+    **dict.fromkeys(["DENSE_CAP", "MobiusMatrix", "MobiusVector", "ZetaMatrix", "invert_zeta",
+                     "mobius_one_var", "mobius_two_var", "verify_inverse", "zeta_matrix"],
+                    "mobius"),
+    **dict.fromkeys(["MAX_TRIANGULAR_INDEX", "DivisibilityPoset", "HasseGraph", "SequenceKind",
+                     "sequence_value", "triangular_index"], "poset"),
+    **dict.fromkeys(["PropositionVerdict", "prop1_check", "prop2_check", "scan_range"], "props"),
+    **dict.fromkeys(["svg_heatmap", "svg_line_chart"], "svg"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BFile",
-    "DENSE_CAP",
-    "DiffReport",
-    "DivisibilityPoset",
-    "HasseGraph",
-    "MAX_TRIANGULAR_INDEX",
-    "MagnitudeRecord",
-    "MagnitudeRecordTable",
-    "MobiusMatrix",
-    "MobiusVector",
-    "PropositionVerdict",
-    "SequenceKind",
-    "SeriesReport",
-    "ZetaMatrix",
-    "abs_sums",
-    "classical_mertens",
-    "classical_mobius",
-    "estimate_C",
-    "format_bfile",
-    "hasse_to_dot",
-    "invert_zeta",
-    "load_bfile",
-    "magnitude_records",
-    "matrix_to_csv",
-    "mertens_tri",
-    "mobius_one_var",
-    "mobius_two_var",
-    "oeis_diff",
-    "prop1_check",
-    "prop2_check",
-    "ratio_sums_index",
-    "ratio_sums_triangular",
-    "scan_range",
-    "sequence_value",
-    "svg_heatmap",
-    "svg_line_chart",
-    "triangular_index",
-    "verify_inverse",
-    "zeta_matrix",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name, or a module of the package, imported on its first read and then kept."""
+    if name in _HOME:
+        value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOME.values():
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

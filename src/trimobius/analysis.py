@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
-import numpy as np
-
+from ._numpy import np
 from .mobius import MobiusVector
 from .poset import SequenceKind, int_type, magnitude, sequence_value, sequence_values
 

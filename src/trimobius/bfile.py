@@ -18,8 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .poset import magnitude
 
 # Bundled snapshot names -> resource files (first 10 published terms each).

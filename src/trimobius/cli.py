@@ -9,14 +9,33 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 
-import numpy as np
 
-from . import analysis, bfile, exports, mobius, props, svg
-from .poset import DivisibilityPoset, SequenceKind, int_type, magnitude, sequence_values
+def _lazy(name: str):
+    """The module trimobius.<name>, to be loaded when one of its attributes is first read.
+
+    A module already imported is returned as it is, so that a function
+    patched or wrapped in it is the one called.
+    """
+    name = f"{__package__}.{name}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# Each command loads only the modules it runs: props and usage errors load
+# no numpy, hasse no analysis, and a series command no svg unless it draws.
+analysis, bfile, exports, mobius, poset, props, svg = map(
+    _lazy, ["analysis", "bfile", "exports", "mobius", "poset", "props", "svg"])
+# poset.SequenceKind's values in its order; naming the enum here would load numpy
+_KINDS = ["triangular", "identity"]
 
 
 class UsageError(Exception):
@@ -71,7 +90,7 @@ def _json_pieces(payload, indent=None):
             yield "[]" + after
             continue
         yield "[" + open_
-        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        if not isinstance(values, range) and values.dtype.kind == "f":
             for lo in range(0, len(values), _PIECE_ROWS):
                 rows = sep.join(map(repr, values[lo : lo + _PIECE_ROWS].tolist()))
                 yield rows if lo == 0 else sep + rows
@@ -98,7 +117,7 @@ def _series_payload(report: analysis.SeriesReport) -> dict:
     return payload
 
 
-def _index_csv(values: np.ndarray):
+def _index_csv(values):
     """"n,value" rows of an integer array, n counting from 1, in pieces."""
     return bfile.decimal_blocks([range(1, len(values) + 1), values], ",", "\n")
 
@@ -127,7 +146,7 @@ _SERIES = {
     "bfile": lambda report: bfile.bfile_pieces(report.ys),
     "csv": _series_csv,
     "json": lambda report: _json_pieces(_series_payload(report), indent=2),
-    "svg": svg.line_chart_pieces,
+    "svg": lambda report: svg.line_chart_pieces(report),
 }
 # Ratio series hold floats, which a b-file cannot.
 _RATIO_SERIES = {fmt: write for fmt, write in _SERIES.items() if fmt != "bfile"}
@@ -164,15 +183,17 @@ def _write(table: dict, default: str, value, args) -> int:
     return 0
 
 
+def _poset(args) -> poset.DivisibilityPoset:
+    return poset.DivisibilityPoset(poset.SequenceKind(args.kind), args.limit)
+
+
 def _mu(args) -> mobius.MobiusVector:
-    poset = DivisibilityPoset(SequenceKind(args.kind), args.limit)
-    return mobius.mobius_one_var(poset, args.limit)
+    return mobius.mobius_one_var(_poset(args), args.limit)
 
 
 def _matrix(args, which: str):
     """The zeta matrix of the chosen poset up to args.limit, or its inverse."""
-    poset = DivisibilityPoset(SequenceKind(args.kind), args.limit)
-    zeta = mobius.zeta_matrix(poset, args.limit)
+    zeta = mobius.zeta_matrix(_poset(args), args.limit)
     return zeta if which == "zeta" else mobius.invert_zeta(zeta)
 
 
@@ -195,8 +216,8 @@ _WRITTEN = {
     "mobius-matrix": ("exact inverse of the zeta matrix",
                       lambda a: _matrix(a, "mobius"), _MATRIX, "csv"),
     "hasse": ("covering relations as a DOT digraph",
-              lambda a: DivisibilityPoset(SequenceKind(a.kind), a.limit).hasse_edges(a.limit),
-              {"dot": exports.dot_pieces}, "dot"),
+              lambda a: _poset(a).hasse_edges(a.limit),
+              {"dot": lambda graph: exports.dot_pieces(graph)}, "dot"),
     "heatmap": ("SVG heatmap of a matrix",
                 lambda a: (_matrix(a, a.matrix),
                            f"{a.matrix} matrix heatmap ({a.kind}, n={a.limit})"),
@@ -242,20 +263,22 @@ def cmd_classical(args) -> int:
 _VERIFY_ROWS = 64
 
 
-def _verify_kind(kind: SequenceKind, n: int):
+def _verify_kind(kind: poset.SequenceKind, n: int):
     """Yield each way the table, or mu by R.mu = e_1, is off the order R on 1..n.
 
     R is built and used _VERIFY_ROWS rows at a time.  The identity kind's mu
     is then compared with the classical sieve.
     """
-    poset = DivisibilityPoset(kind, n)
+    from ._numpy import np
+
+    order = poset.DivisibilityPoset(kind, n)
     # zeta_matrix refuses n > DENSE_CAP before any table is built
-    zeta = mobius.zeta_matrix(poset, n).array
-    values = sequence_values(kind, np.arange(1, n + 1, dtype=np.uint64))
-    vec = mobius.mobius_one_var(poset, n)
-    bound = magnitude(vec.values) * n  # each of the n terms of a row sum is at most max |mu|
+    zeta = mobius.zeta_matrix(order, n).array
+    values = poset.sequence_values(kind, np.arange(1, n + 1, dtype=np.uint64))
+    vec = mobius.mobius_one_var(order, n)
+    bound = poset.magnitude(vec.values) * n  # each of the n terms of a row sum is at most max |mu|
     try:
-        mu = vec.values[1:].astype(int_type(bound))  # so no product or row sum wraps
+        mu = vec.values[1:].astype(poset.int_type(bound))  # so no product or row sum wraps
     except OverflowError:
         mu = None
     differs = np.zeros(n, dtype=bool)
@@ -274,29 +297,29 @@ def _verify_kind(kind: SequenceKind, n: int):
         yield f"{kind.value}: zero sums may reach {bound}, beyond int64"
     elif sums.any():
         yield f"{kind.value}: zero-sum broken at n={np.flatnonzero(sums)[0] + 1}"
-    if kind is SequenceKind.IDENTITY and not np.array_equal(
+    if kind is poset.SequenceKind.IDENTITY and not np.array_equal(
             vec.values, analysis.classical_mobius(n).values):
         yield "identity kind disagrees with the classical sieve"
 
 
 def _verify(args):
     n = args.limit or 200
-    failures = [f for kind in SequenceKind for f in _verify_kind(kind, n)]
+    failures = [f for kind in poset.SequenceKind for f in _verify_kind(kind, n)]
     return [f"FAIL: {f}\n" for f in failures] or ["OK\n"], not failures
 
 
 def _oeis_diff(args):
-    kind = SequenceKind(args.kind)
+    kind = poset.SequenceKind(args.kind)
     if args.bfile:
         reference = bfile.load_bfile(args.bfile)
     else:
-        if kind is not SequenceKind.TRIANGULAR:
+        if kind is not poset.SequenceKind.TRIANGULAR:
             raise UsageError("bundled snapshots cover the triangular kind only")
         name = "A350682" if args.series == "mobius" else "A351167"
         reference = bfile.bundled_snapshot(name)
     # n >= 1 even for a b-file ending at index 0, whose overlap oeis_diff rejects
     n = args.limit or max(reference.last_index, 1)
-    vec = mobius.mobius_one_var(DivisibilityPoset(kind, n), n)
+    vec = mobius.mobius_one_var(poset.DivisibilityPoset(kind, n), n)
     terms = vec.values[1:] if args.series == "mobius" else analysis.mertens_tri(vec).ys
     report = bfile.oeis_diff(reference, terms)
     return [report.summary() + "\n"], report.matched
@@ -314,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         if limit:
             p.add_argument("-n", "--limit", type=positive_int, required=(limit == "req"))
         if kind:
-            p.add_argument("--kind", choices=[k.value for k in SequenceKind],
-                           default=SequenceKind.TRIANGULAR.value)
+            p.add_argument("--kind", choices=_KINDS, default=_KINDS[0])
         if fmt:
             p.add_argument("--format", choices=list(fmt), default=None)
         if out:

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
+from ._numpy import np
 from .bfile import decimal_blocks
 from .poset import I64_MAX, HasseGraph
 

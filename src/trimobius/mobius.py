@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .poset import DivisibilityPoset, PredecessorTable, SequenceKind, int_type, magnitude
 
 # Largest n for which a dense n x n matrix is ever materialized.

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
+from ._numpy import np
 
 U64_MAX = 2**64 - 1
 I64_MAX = 2**63 - 1

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-import numpy as np
-
 from . import bfile
+from ._numpy import np
 from .poset import magnitude
 
 _GRAY = (217, 217, 217)

@@ -1,6 +1,7 @@
 """API hygiene, read from the source with ast: no stale import, export or private name."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ import trimobius
 
 _PACKAGE = Path(trimobius.__file__).parent
 _MODULES = sorted(_PACKAGE.glob("*.py"))
-# import numpy as _numpy in __init__ loads numpy with one OpenBLAS thread;
-# the name itself is never read
-_SIDE_EFFECT_IMPORTS = {("__init__", "_numpy")}
+# _numpy imports numpy, with one OpenBLAS thread, for every other module to
+# import np from it; _numpy itself never reads the name
+_SIDE_EFFECT_IMPORTS = {("_numpy", "np")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -30,20 +31,10 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _dunder_all(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    return []
-
-
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = _tree(path)
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    loaded |= set(_dunder_all(tree))
     unused = {
         name: line for name, line in _imported(tree).items()
         if name not in loaded and (path.stem, name) not in _SIDE_EFFECT_IMPORTS
@@ -52,17 +43,35 @@ def test_every_import_is_used(path):
 
 
 def test_all_is_exactly_the_reexports():
+    # __all__ is the name map's keys, each listed once, and each name is the
+    # object its home module defines
     tree = _tree(_PACKAGE / "__init__.py")
-    reexported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-    }
+    (home,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_HOME"]
+    ]
+    listed = [elt.value for node in ast.walk(home) if isinstance(node, ast.List)
+              for elt in node.elts]
     assert len(trimobius.__all__) == len(set(trimobius.__all__))
-    assert set(trimobius.__all__) == reexported
+    assert sorted(listed) == sorted(trimobius.__all__) == sorted(trimobius._HOME)
     for name in trimobius.__all__:
         assert hasattr(trimobius, name), name
+        module = importlib.import_module(f"trimobius.{trimobius._HOME[name]}")
+        assert getattr(trimobius, name) is getattr(module, name), name
+
+
+def test_only_the_guard_imports_numpy():
+    # a module that loaded numpy before _numpy did would skip its OpenBLAS guard
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in _MODULES
+        if path.stem != "_numpy"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level
+        and node.module.split(".")[0] == "numpy"
+    ]
+    assert not importers, f"numpy imported outside _numpy.py: {importers}"
 
 
 def test_only_poset_reads_the_table_arrays():

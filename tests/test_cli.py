@@ -412,7 +412,7 @@ class TestDenseCap:
         def build(self, n):
             raise AssertionError("a predecessor table was built")
 
-        monkeypatch.setattr(cli.DivisibilityPoset, "predecessor_table", build)
+        monkeypatch.setattr(cli.poset.DivisibilityPoset, "predecessor_table", build)
         code, out, err = run(capsys, "verify", "-n", "300000")
         assert (code, out) == (1, "")
         assert err == "error: dense matrix size 300000 exceeds the cap DENSE_CAP = 1000\n"
@@ -695,3 +695,7 @@ class TestHelpText:
                    for name, text in helps.items()}
         # dict order is the subcommand order
         assert list(digests.items()) == list(HELP_SHA256.items())
+
+    def test_kind_choices_are_the_sequence_kinds(self):
+        # cli names the kinds itself, so that building the parser loads no numpy
+        assert cli._KINDS == [k.value for k in SequenceKind]
